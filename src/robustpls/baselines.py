@@ -17,14 +17,11 @@ from .linalg import as_matrix, svd
 __all__ = [
     "LinearModel",
     "PlsFactors",
-    "METHOD_TAGS",
     "fit_mlr",
     "fit_pcr",
     "fit_pls_nipals",
     "predict",
 ]
-
-METHOD_TAGS = ("MLR", "PCR", "PLSR", "PLS_PROJ", "RPLS_PROJ")
 
 # Relative singular-value cutoff below which directions count as rank-deficient.
 RANK_RCOND = 1e-12
@@ -42,8 +39,8 @@ class LinearModel:
     notes: tuple = ()
 
     def __post_init__(self):
-        if self.method_tag not in METHOD_TAGS:
-            raise ConfigError(f"method_tag must be one of {METHOD_TAGS}, got {self.method_tag!r}")
+        if self.method_tag not in ("MLR", "PCR", "PLSR"):
+            raise ConfigError(f"method_tag must be MLR, PCR or PLSR, got {self.method_tag!r}")
 
 
 @dataclass(frozen=True)

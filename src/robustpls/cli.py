@@ -17,19 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, datagen, evaluate, projection, rpls
+from . import datagen, evaluate, rpls
 from .errors import RplsError
 from .io import DatasetFile, format_float, load_csv, load_model, save_model, write_csv
 
-CLI_METHODS = {
-    "mlr": "MLR",
-    "pcr": "PCR",
-    "plsr": "PLSR",
-    "pls-proj": "PLS_PROJ",
-    "rpls": "RPLS_PROJ",
-}
-
+# Config-file keys and flags: RplsConfig fields, except that alpha0 sets alpha1_0 and alpha2_0.
 HYPER_KEYS = ("k", "lambda1", "lambda2", "rho", "alpha0", "alpha_max", "tol", "max_iter", "center")
+DEFAULT_K = 5
 
 
 def _setup_logging():
@@ -40,7 +34,7 @@ def _setup_logging():
 
 
 def _add_hyper_flags(p):
-    p.add_argument("--k", type=int, default=None, help="latent dimension (default 5)")
+    p.add_argument("--k", type=int, default=None, help=f"latent dimension (default {DEFAULT_K})")
     p.add_argument("--lambda1", type=float, default=None, help="nuclear-norm weight, X side")
     p.add_argument("--lambda2", type=float, default=None, help="nuclear-norm weight, Y side")
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
@@ -49,7 +43,7 @@ def _add_hyper_flags(p):
     p.add_argument("--tol", type=float, default=None, help="convergence threshold")
     p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p.add_argument("--center", choices=rpls.CENTER_MODES, default=None,
-                   help="column centering for the robust solver (default median)")
+                   help=f"column centering for the robust solver (default {rpls.RplsConfig.center})")
     p.add_argument("--config", default=None, help="JSON file with hyperparameter defaults")
 
 
@@ -61,37 +55,22 @@ def _add_outlier_flags(p):
     p.add_argument("--tail-multiplier", type=float, default=10.0)
 
 
-def _resolve_hypers(args):
-    """defaults < --config file < explicit flags."""
-    merged = {"k": 5, "lambda1": None, "lambda2": None, "rho": 1.1, "alpha0": 1.0,
-              "alpha_max": 1e6, "tol": None, "max_iter": 500, "center": "median"}
-    if getattr(args, "config", None):
+def _rpls_config(args) -> rpls.RplsConfig:
+    """RplsConfig's defaults with k=DEFAULT_K < --config file < explicit flags."""
+    h = {"k": DEFAULT_K}
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(merged)
+        if not isinstance(file_cfg, dict):
+            raise RplsError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
+        unknown = set(file_cfg) - set(HYPER_KEYS)
         if unknown:
             raise RplsError(f"unknown keys in config file: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in HYPER_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _rpls_config(h) -> rpls.RplsConfig:
-    return rpls.RplsConfig(
-        k=int(h["k"]),
-        lambda1=h["lambda1"],
-        lambda2=h["lambda2"],
-        alpha1_0=float(h["alpha0"]),
-        alpha2_0=float(h["alpha0"]),
-        rho=float(h["rho"]),
-        alpha_max=float(h["alpha_max"]),
-        tol=h["tol"],
-        max_iter=int(h["max_iter"]),
-        center=h["center"],
-    )
+        h.update(file_cfg)
+    h.update({key: getattr(args, key) for key in HYPER_KEYS if getattr(args, key) is not None})
+    if "alpha0" in h:
+        h["alpha1_0"] = h["alpha2_0"] = h.pop("alpha0")
+    return rpls.RplsConfig(**h)
 
 
 def _outlier_spec(args, seed):
@@ -143,10 +122,9 @@ def cmd_fit(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     x, y = _load_xy(args)
-    h = _resolve_hypers(args)
-    k = int(h["k"])
-    if args.method == "rpls":
-        model = rpls.fit(x, y, _rpls_config(h))
+    cfg = _rpls_config(args)
+    model, _ = evaluate.METHODS[args.method].fit(x, y, cfg.k, cfg)
+    if isinstance(model, rpls.RplsModel):
         write_csv(
             out / "residual_trace.csv",
             np.array(model.residual_trace, dtype=np.float64),
@@ -154,17 +132,6 @@ def cmd_fit(args) -> int:
         )
         if not model.converged:
             print(f"warning: not converged within {model.config.max_iter} iterations", file=sys.stderr)
-    elif args.method == "mlr":
-        model = baselines.fit_mlr(x, y)
-    elif args.method == "pcr":
-        model = baselines.fit_pcr(x, y, k)
-    elif args.method == "plsr":
-        _, model = baselines.fit_pls_nipals(x, y, k)
-    elif args.method == "pls-proj":
-        factors, linear = baselines.fit_pls_nipals(x, y, k)
-        model = projection.from_pls(factors, linear.x_means, linear.y_means)
-    else:  # argparse choices prevent this
-        raise RplsError(f"unknown method {args.method!r}")
     save_model(out / "model.json", model)
     print(f"wrote {out / 'model.json'}")
     return 0
@@ -175,13 +142,7 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = load_model(args.model)
     x_new = load_csv(DatasetFile(args.x, has_header=args.has_header))
-    if isinstance(model, rpls.RplsModel):
-        reg = projection.from_rpls(model)
-        y_hat = projection.predict_projection(reg, x_new)
-    elif isinstance(model, projection.ProjectionRegressor):
-        y_hat = projection.predict_projection(model, x_new)
-    else:
-        y_hat = baselines.predict(model, x_new)
+    y_hat = evaluate.predict_model(model, x_new)
     write_csv(out / "predictions.csv", y_hat)
     print(f"wrote {out / 'predictions.csv'}")
     return 0
@@ -247,10 +208,10 @@ def cmd_bench(args) -> int:
     if not 0.0 < args.split < 1.0:
         raise RplsError(f"--split must be in (0, 1), got {args.split}")
     method_keys = [m.strip() for m in args.methods.split(",") if m.strip()]
-    bad = [m for m in method_keys if m not in CLI_METHODS]
+    bad = [m for m in method_keys if m not in evaluate.METHODS]
     if bad:
-        raise RplsError(f"unknown methods: {bad}; valid: {sorted(CLI_METHODS)}")
-    tags = [CLI_METHODS[m] for m in method_keys]
+        raise RplsError(f"unknown methods: {bad}; valid: {sorted(evaluate.METHODS)}")
+    tags = [evaluate.METHODS[m].tag for m in method_keys]
 
     perm = datagen.rng_from_seed(args.seed).permutation(n)
     n_train = int(round(args.split * n))
@@ -269,9 +230,9 @@ def cmd_bench(args) -> int:
         y = y.copy()
         y[train] = y_tr
 
-    h = _resolve_hypers(args)
+    cfg = _rpls_config(args)
     report = evaluate.run_experiment(
-        x, y, (train, test), tags, k=int(h["k"]), rpls_config=_rpls_config(h),
+        x, y, (train, test), tags, k=cfg.k, rpls_config=cfg,
         dataset_tag=Path(args.x).name,
     )
     _write_bench_outputs(out, report, y[test])
@@ -305,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit one method and write model.json")
     p_fit.add_argument("--x", required=True)
     p_fit.add_argument("--y", required=True)
-    p_fit.add_argument("--method", required=True, choices=sorted(CLI_METHODS))
+    p_fit.add_argument("--method", required=True, choices=sorted(evaluate.METHODS))
     p_fit.add_argument("--has-header", action="store_true")
     _add_hyper_flags(p_fit)
     p_fit.add_argument("--out-dir", required=True)
@@ -321,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="train/test comparison of several methods")
     p_bench.add_argument("--x", required=True)
     p_bench.add_argument("--y", required=True)
-    p_bench.add_argument("--methods", default="mlr,pcr,plsr,pls-proj,rpls")
+    p_bench.add_argument("--methods", default=",".join(evaluate.METHODS))
     p_bench.add_argument("--split", type=float, default=0.8, help="train fraction")
     p_bench.add_argument("--seed", type=int, default=0, help="split shuffle / outlier seed")
     p_bench.add_argument("--has-header", action="store_true")

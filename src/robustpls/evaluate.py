@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,12 +14,14 @@ from .errors import ConfigError, DegenerateEllipseError, DimensionError, Invalid
 from .linalg import as_matrix, svd
 
 __all__ = [
+    "METHODS",
     "MethodResult",
     "ExperimentReport",
     "ConfidenceEllipse",
     "nmse",
     "chi2_quantile_2dof",
     "confidence_ellipse",
+    "predict_model",
     "run_experiment",
 ]
 
@@ -117,27 +120,51 @@ def _check_split(n, train_indices, test_indices):
     return np.sort(train), np.sort(test)
 
 
-def _fit_predict(tag, x_train, y_train, x_test, k, rpls_config):
-    if tag == "MLR":
-        model = baselines.fit_mlr(x_train, y_train)
-        return baselines.predict(model, x_test), None
-    if tag == "PCR":
-        model = baselines.fit_pcr(x_train, y_train, k)
-        f = svd(x_train - x_train.mean(axis=0))
-        return baselines.predict(model, x_test), f.u[:, :k] * f.s[:k]
-    if tag == "PLSR":
-        factors, model = baselines.fit_pls_nipals(x_train, y_train, k)
-        return baselines.predict(model, x_test), factors.scores
-    if tag == "PLS_PROJ":
-        factors, model = baselines.fit_pls_nipals(x_train, y_train, k)
-        reg = projection.from_pls(factors, model.x_means, model.y_means)
-        return projection.predict_projection(reg, x_test), factors.scores
-    if tag == "RPLS_PROJ":
-        cfg = rpls_config if rpls_config is not None else rpls.RplsConfig(k=k)
-        model = rpls.fit(x_train, y_train, cfg)
-        reg = projection.from_rpls(model)
-        return projection.predict_projection(reg, x_test), model.state.q
-    raise ConfigError(f"unknown method tag {tag!r}")
+def _fit_mlr(x, y, k, rpls_config):
+    return baselines.fit_mlr(x, y), None
+
+
+def _fit_pcr(x, y, k, rpls_config):
+    model = baselines.fit_pcr(x, y, k)
+    f = svd(x - x.mean(axis=0))
+    return model, f.u[:, :k] * f.s[:k]
+
+
+def _fit_plsr(x, y, k, rpls_config):
+    factors, model = baselines.fit_pls_nipals(x, y, k)
+    return model, factors.scores
+
+
+def _fit_pls_proj(x, y, k, rpls_config):
+    factors, model = baselines.fit_pls_nipals(x, y, k)
+    return projection.from_pls(factors, model.x_means, model.y_means), factors.scores
+
+
+def _fit_rpls(x, y, k, rpls_config):
+    model = rpls.fit(x, y, rpls_config if rpls_config is not None else rpls.RplsConfig(k=k))
+    return model, model.state.q
+
+
+# CLI name -> (report tag, fit(x, y, k, rpls_config) -> (model, training scores or None)).
+# `rpls fit`, `rpls bench` and run_experiment all dispatch through this table.
+Method = namedtuple("Method", "tag fit")
+METHODS = {
+    "mlr": Method("MLR", _fit_mlr),
+    "pcr": Method("PCR", _fit_pcr),
+    "plsr": Method("PLSR", _fit_plsr),
+    "pls-proj": Method("PLS_PROJ", _fit_pls_proj),
+    "rpls": Method("RPLS_PROJ", _fit_rpls),
+}
+_BY_TAG = {m.tag: m for m in METHODS.values()}
+
+
+def predict_model(model, x_new) -> np.ndarray:
+    """Predictions of any fitted model kind: robust, projection or linear."""
+    if isinstance(model, rpls.RplsModel):
+        model = projection.from_rpls(model)
+    if isinstance(model, projection.ProjectionRegressor):
+        return projection.predict_projection(model, x_new)
+    return baselines.predict(model, x_new)
 
 
 def run_experiment(
@@ -159,7 +186,7 @@ def run_experiment(
         Disjoint row index sequences. Order does not matter; indices are
         sorted internally so shuffled splits give identical reports.
     methods : sequence of str
-        Tags from ``baselines.METHOD_TAGS``.
+        Report tags of entries in ``METHODS``.
     k : int
         Latent dimension for the component-based methods.
     rpls_config : RplsConfig, optional
@@ -175,7 +202,7 @@ def run_experiment(
         raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     train, test = _check_split(x.shape[0], *split)
     for tag in methods:
-        if tag not in baselines.METHOD_TAGS:
+        if tag not in _BY_TAG:
             raise ConfigError(f"unknown method tag {tag!r}")
 
     x_train, y_train = x[train], y[train]
@@ -183,7 +210,8 @@ def run_experiment(
     report = ExperimentReport(train_indices=train, test_indices=test, dataset_tag=dataset_tag)
     for tag in methods:
         try:
-            predictions, scores = _fit_predict(tag, x_train, y_train, x_test, k, rpls_config)
+            model, scores = _BY_TAG[tag].fit(x_train, y_train, k, rpls_config)
+            predictions = predict_model(model, x_test)
             report.results[tag] = MethodResult(
                 predictions=predictions,
                 nmse=nmse(y_test, predictions),

@@ -112,9 +112,12 @@ def _encode_matrix(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.ravel().tolist()}
 
 
-def _decode_matrix(d: dict) -> np.ndarray:
-    m = np.array(d["data"], dtype=np.float64).reshape(d["rows"], d["cols"])
-    return m
+def _decode_matrix(doc: dict, key: str) -> np.ndarray:
+    d = doc[key]
+    m = np.array(d["data"], dtype=np.float64)
+    if m.size != d["rows"] * d["cols"]:
+        raise ValueError(f"field {key!r} has {m.size} values for a {d['rows']}x{d['cols']} matrix")
+    return m.reshape(d["rows"], d["cols"])
 
 
 def model_to_dict(model) -> dict:
@@ -145,10 +148,10 @@ def model_to_dict(model) -> dict:
                 "k": int(model.config.k),
                 "lambda1": model.config.lambda1,
                 "lambda2": model.config.lambda2,
-                "alpha1_0": model.config.alpha1_0,
-                "alpha2_0": model.config.alpha2_0,
-                "rho": model.config.rho,
-                "alpha_max": model.config.alpha_max,
+                "alpha1_0": float(model.config.alpha1_0),
+                "alpha2_0": float(model.config.alpha2_0),
+                "rho": float(model.config.rho),
+                "alpha_max": float(model.config.alpha_max),
                 "tol": model.config.tol,
                 "max_iter": int(model.config.max_iter),
                 "center": model.config.center,
@@ -187,17 +190,26 @@ def model_from_dict(doc: dict):
     """Inverse of ``model_to_dict``."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError("not a model document (missing or wrong 'format')")
-    kind = doc.get("kind")
+    try:
+        return _decode_model(doc)
+    except KeyError as exc:
+        raise ParseError(f"model document has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed model document: {exc}") from None
+
+
+def _decode_model(doc: dict):
+    kind = doc["kind"]
     if kind == "rpls":
         cfg = RplsConfig(**doc["config"])
         state = RplsState(
-            q=_decode_matrix(doc["q"]),
-            lambda_x=_decode_matrix(doc["lambda_x"]),
-            lambda_y=_decode_matrix(doc["lambda_y"]),
-            delta_x=_decode_matrix(doc["delta_x"]),
-            delta_y=_decode_matrix(doc["delta_y"]),
-            l=_decode_matrix(doc["l"]),
-            m=_decode_matrix(doc["m"]),
+            q=_decode_matrix(doc, "q"),
+            lambda_x=_decode_matrix(doc, "lambda_x"),
+            lambda_y=_decode_matrix(doc, "lambda_y"),
+            delta_x=_decode_matrix(doc, "delta_x"),
+            delta_y=_decode_matrix(doc, "delta_y"),
+            l=_decode_matrix(doc, "l"),
+            m=_decode_matrix(doc, "m"),
             alpha1=float(doc["alpha1"]),
             alpha2=float(doc["alpha2"]),
             iteration=int(doc["iterations"]),
@@ -212,7 +224,7 @@ def model_from_dict(doc: dict):
         )
     if kind == "linear":
         return LinearModel(
-            theta=_decode_matrix(doc["theta"]),
+            theta=_decode_matrix(doc, "theta"),
             x_means=np.array(doc["x_means"], dtype=np.float64),
             y_means=np.array(doc["y_means"], dtype=np.float64),
             method_tag=doc["method_tag"],
@@ -221,14 +233,14 @@ def model_from_dict(doc: dict):
         )
     if kind == "projection":
         return ProjectionRegressor(
-            lambda_x=_decode_matrix(doc["lambda_x"]),
-            lambda_y=_decode_matrix(doc["lambda_y"]),
+            lambda_x=_decode_matrix(doc, "lambda_x"),
+            lambda_y=_decode_matrix(doc, "lambda_y"),
             x_means=np.array(doc["x_means"], dtype=np.float64),
             y_means=np.array(doc["y_means"], dtype=np.float64),
             source_tag=doc["source_tag"],
             notes=tuple(doc.get("notes", ())),
         )
-    raise ParseError(f"unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def save_model(path, model) -> None:

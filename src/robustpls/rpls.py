@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,21 +68,21 @@ class RplsConfig:
     center: str = "median"
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         for name in ("lambda1", "lambda2", "tol"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
+            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive (or None for auto), got {v!r}")
         for name in ("alpha1_0", "alpha2_0", "alpha_max"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive, got {v!r}")
-        if not (math.isfinite(self.rho) and self.rho >= 1):
+        if not (isinstance(self.rho, numbers.Real) and math.isfinite(self.rho) and self.rho >= 1):
             raise ConfigError(f"rho must be >= 1, got {self.rho!r}")
         if self.alpha_max < self.alpha1_0 or self.alpha_max < self.alpha2_0:
             raise ConfigError("alpha_max must be >= both initial penalties")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.center not in CENTER_MODES:
             raise ConfigError(f"center must be one of {CENTER_MODES}, got {self.center!r}")

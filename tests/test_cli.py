@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from robustpls.cli import main
-from robustpls.evaluate import nmse
-from robustpls.io import DatasetFile, load_csv, load_model
+from robustpls.datagen import rng_from_seed
+from robustpls.evaluate import METHODS, nmse, run_experiment
+from robustpls.io import DatasetFile, load_csv, load_model, write_csv
 
 
 def run_cli(*args):
@@ -63,20 +64,29 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("method", ["rpls", "mlr", "pcr", "plsr", "pls-proj"])
     def test_fit_and_predict_each_method(self, dataset, tmp_path, method):
+        # rpls fit + rpls predict give bit for bit what run_experiment (rpls bench) gives.
+        x, y = load_csv(dataset / "x.csv"), load_csv(dataset / "y.csv")
+        perm = rng_from_seed(5).permutation(60)
+        train, test = np.sort(perm[:48]), np.sort(perm[48:])
+        for name, m in (("x_train", x[train]), ("y_train", y[train]), ("x_test", x[test])):
+            write_csv(tmp_path / f"{name}.csv", m)
         fit_dir = tmp_path / f"fit_{method}"
         assert run_cli(
-            "fit", "--method", method, "--x", str(dataset / "x.csv"),
-            "--y", str(dataset / "y.csv"), "--k", "3", "--out-dir", str(fit_dir),
+            "fit", "--method", method, "--x", str(tmp_path / "x_train.csv"),
+            "--y", str(tmp_path / "y_train.csv"), "--k", "3", "--out-dir", str(fit_dir),
         ) == 0
         assert (fit_dir / "model.json").exists()
         pred_dir = tmp_path / f"pred_{method}"
         assert run_cli(
             "predict", "--model", str(fit_dir / "model.json"),
-            "--x", str(dataset / "x.csv"), "--out-dir", str(pred_dir),
+            "--x", str(tmp_path / "x_test.csv"), "--out-dir", str(pred_dir),
         ) == 0
         preds = load_csv(pred_dir / "predictions.csv")
-        assert preds.shape == (60, 2)
+        assert preds.shape == (12, 2)
         assert np.isfinite(preds).all()
+        tag = METHODS[method].tag
+        expected = run_experiment(x, y, (train, test), [tag], k=3).results[tag].predictions
+        assert preds.tobytes() == expected.tobytes()
 
     def test_rpls_fit_writes_trace(self, dataset, tmp_path):
         fit_dir = tmp_path / "fit"
@@ -97,6 +107,27 @@ class TestFitPredict:
         model = load_model(fit_dir / "model.json")
         assert model.config.k == 2          # from config file
         assert model.config.max_iter == 9   # flag overrides file
+
+    @pytest.mark.parametrize("text", [
+        '[["k", 3]]', "5", "null", '{"k": null}', '{"alpha0": "x"}', '{"max_iter": 2.5}',
+    ], ids=["list", "number", "null", "k-null", "alpha0-string", "max_iter-fraction"])
+    def test_bad_config_file_rejected(self, dataset, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"),
+                       "--y", str(dataset / "y.csv"), "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "fit"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_predict_malformed_model_rejected(self, dataset, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format": "robustpls-model", "kind": "linear"}))
+        code = run_cli("predict", "--model", str(path), "--x", str(dataset / "x.csv"),
+                       "--out-dir", str(tmp_path / "pred"))
+        assert code == 1
+        assert "'theta'" in capsys.readouterr().err
 
     def test_predict_constant_model(self, tmp_path, dataset):
         # Zero response loadings predict the stored offsets everywhere.

@@ -150,3 +150,13 @@ class TestModelJson:
             load_model(p)
         with pytest.raises(ParseError):
             model_from_dict({"format": "robustpls-model", "version": 1, "kind": "mystery"})
+
+    @pytest.mark.parametrize("doc", [
+        {"format": "robustpls-model", "kind": "linear"},
+        {"format": "robustpls-model", "kind": "linear",
+         "theta": {"rows": 2, "cols": 3, "data": [1.0, 2.0, 3.0, 4.0, 5.0]},
+         "x_means": [0.0, 0.0], "y_means": [0.0, 0.0, 0.0], "method_tag": "MLR", "n_components": 0},
+    ], ids=["missing-field", "data-length"])
+    def test_malformed_document_names_field(self, doc):
+        with pytest.raises(ParseError, match="'theta'"):
+            model_from_dict(doc)
