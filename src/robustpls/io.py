@@ -198,49 +198,65 @@ def model_from_dict(doc: dict):
         raise ParseError(f"malformed model document: {exc}") from None
 
 
+# Axes of every array field, one letter per axis: fields sharing a letter
+# must agree in that dimension.
+_AXES = {
+    "rpls": {"q": "nk", "lambda_x": "pk", "lambda_y": "rk", "delta_x": "np",
+             "delta_y": "nr", "l": "np", "m": "nr", "x_means": "p", "y_means": "r"},
+    "linear": {"theta": "pr", "x_means": "p", "y_means": "r"},
+    "projection": {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"},
+}
+
+
+def _decode_arrays(doc: dict, kind: str) -> dict:
+    """Every array field of a model kind, checked to agree in shape."""
+    dims = {}
+    arrays = {}
+    for field, axes in _AXES[kind].items():
+        a = _decode_matrix(doc, field) if len(axes) == 2 else np.array(doc[field], dtype=np.float64)
+        expected = tuple(dims.setdefault(ax, size) for ax, size in zip(axes, a.shape))
+        if a.ndim != len(axes) or a.shape != expected:
+            raise ValueError(f"field {field!r} has shape {a.shape}, which does not fit the other fields")
+        arrays[field] = a
+    return arrays
+
+
+def _notes(doc: dict) -> tuple:
+    notes = doc.get("notes", [])
+    if not isinstance(notes, list) or not all(isinstance(s, str) for s in notes):
+        raise ValueError("field 'notes' must be a list of strings")
+    return tuple(notes)
+
+
 def _decode_model(doc: dict):
     kind = doc["kind"]
+    if kind not in _AXES:
+        raise ValueError(f"unknown model kind {kind!r}")
+    arrays = _decode_arrays(doc, kind)
     if kind == "rpls":
-        cfg = RplsConfig(**doc["config"])
+        x_means, y_means = arrays.pop("x_means"), arrays.pop("y_means")
         state = RplsState(
-            q=_decode_matrix(doc, "q"),
-            lambda_x=_decode_matrix(doc, "lambda_x"),
-            lambda_y=_decode_matrix(doc, "lambda_y"),
-            delta_x=_decode_matrix(doc, "delta_x"),
-            delta_y=_decode_matrix(doc, "delta_y"),
-            l=_decode_matrix(doc, "l"),
-            m=_decode_matrix(doc, "m"),
+            **arrays,
             alpha1=float(doc["alpha1"]),
             alpha2=float(doc["alpha2"]),
             iteration=int(doc["iterations"]),
         )
         return RplsModel(
             state=state,
-            config=cfg,
+            config=RplsConfig(**doc["config"]),
             converged=bool(doc["converged"]),
             residual_trace=tuple((int(i), float(r)) for i, r in doc["residual_trace"]),
-            x_means=np.array(doc["x_means"], dtype=np.float64),
-            y_means=np.array(doc["y_means"], dtype=np.float64),
+            x_means=x_means,
+            y_means=y_means,
         )
     if kind == "linear":
         return LinearModel(
-            theta=_decode_matrix(doc, "theta"),
-            x_means=np.array(doc["x_means"], dtype=np.float64),
-            y_means=np.array(doc["y_means"], dtype=np.float64),
+            **arrays,
             method_tag=doc["method_tag"],
             n_components=int(doc["n_components"]),
-            notes=tuple(doc.get("notes", ())),
+            notes=_notes(doc),
         )
-    if kind == "projection":
-        return ProjectionRegressor(
-            lambda_x=_decode_matrix(doc, "lambda_x"),
-            lambda_y=_decode_matrix(doc, "lambda_y"),
-            x_means=np.array(doc["x_means"], dtype=np.float64),
-            y_means=np.array(doc["y_means"], dtype=np.float64),
-            source_tag=doc["source_tag"],
-            notes=tuple(doc.get("notes", ())),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    return ProjectionRegressor(**arrays, source_tag=doc["source_tag"], notes=_notes(doc))
 
 
 def save_model(path, model) -> None:

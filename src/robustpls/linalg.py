@@ -7,6 +7,7 @@ the closed-form maximizer of ``<d, q>`` over matrices with orthonormal
 columns. All functions are pure and deterministic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,13 @@ def soft_threshold(k, eps: float) -> np.ndarray:
         Nonnegative threshold. ``eps == 0`` is the identity.
     """
     m = as_matrix(k, "k")
-    if not np.isfinite(eps) or eps < 0:
+    if not math.isfinite(eps) or eps < 0:
         raise InvalidInputError(f"eps must be a nonnegative finite real, got {eps!r}")
-    return np.sign(m) * np.maximum(np.abs(m) - eps, 0.0)
+    out = np.abs(m)
+    out -= eps
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(m)
+    return out
 
 
 def singular_value_threshold(a, tau: float) -> np.ndarray:
@@ -111,7 +116,7 @@ def singular_value_threshold(a, tau: float) -> np.ndarray:
     singular values ``max(s_i - tau, 0)`` with the singular vectors of
     the input.
     """
-    if not np.isfinite(tau) or tau < 0:
+    if not math.isfinite(tau) or tau < 0:
         raise InvalidInputError(f"tau must be a nonnegative finite real, got {tau!r}")
     f = svd(a)
     s_shrunk = np.maximum(f.s - tau, 0.0)

@@ -7,6 +7,16 @@ updates under an augmented Lagrangian with geometrically growing
 penalties. Each iteration runs the update sequence
 Q -> Lx -> Ly -> Dx -> Dy -> multipliers -> penalties and checks the
 primal residual against the tolerance.
+
+One iteration of ``fit`` is a single pass that builds each n-by-p
+intermediate once, into buffers reused across iterations:
+``b = l/alpha1 + X - Dx``, ``zx = X - Q Lx^T`` and the constraint residual
+``rx = zx - Dx``, and ``a``, ``zy``, ``ry`` for Y. The block functions take
+these, not the state: ``update_q`` and ``update_loadings`` take b and a,
+``update_sparse`` takes zx, zy and the scaled multipliers ``l/alpha1``,
+``m/alpha2``, and ``update_multipliers`` and ``primal_residual`` (the
+stopping test) take rx and ry. Each runs once per iteration and checks
+nothing; ``fit`` checks its inputs' shapes once.
 """
 
 from __future__ import annotations
@@ -68,6 +78,9 @@ class RplsConfig:
     center: str = "median"
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, bool):  # bool is an int subclass, so the checks below would pass it
+                raise ConfigError(f"{name} must not be a boolean, got {v!r}")
         if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         for name in ("lambda1", "lambda2", "tol"):
@@ -162,69 +175,24 @@ class RplsModel:
         return self.state.q @ self.state.lambda_y.T
 
 
-def _check_dims(state: RplsState, x: np.ndarray, y: np.ndarray) -> None:
-    n, p = x.shape
-    r = y.shape[1]
-    k = state.q.shape[1]
-    expected = {
-        "q": (n, k),
-        "lambda_x": (p, k),
-        "lambda_y": (r, k),
-        "delta_x": (n, p),
-        "delta_y": (n, r),
-        "l": (n, p),
-        "m": (n, r),
-    }
-    if y.shape[0] != n:
-        raise DimensionError(f"x has {n} rows but y has {y.shape[0]}")
-    for name, shape in expected.items():
-        got = getattr(state, name).shape
-        if got != shape:
-            raise DimensionError(f"state.{name} has shape {got}, expected {shape}")
+def update_q(b, a, lambda_x, lambda_y, alpha1: float, alpha2: float) -> np.ndarray:
+    """Score update: the orthonormal maximizer of ``<alpha1 b Lx + alpha2 a Ly, Q>``."""
+    return procrustes_orthonormal(alpha1 * (b @ lambda_x) + alpha2 * (a @ lambda_y))
 
 
-def _working_matrices(state: RplsState, x: np.ndarray, y: np.ndarray):
-    """Multiplier-shifted data blocks entering the Q and loading updates."""
-    b = state.l / state.alpha1 + x - state.delta_x
-    a = state.m / state.alpha2 + y - state.delta_y
-    return b, a
+def update_loadings(b, a, q, tau_x: float, tau_y: float):
+    """Loading updates: singular value thresholding of ``b^T Q`` and ``a^T Q``."""
+    return singular_value_threshold(b.T @ q, tau_x), singular_value_threshold(a.T @ q, tau_y)
 
 
-def update_q(state: RplsState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Score update: orthonormal maximizer for the combined fit term."""
-    _check_dims(state, x, y)
-    b, a = _working_matrices(state, x, y)
-    d = state.alpha1 * (b @ state.lambda_x) + state.alpha2 * (a @ state.lambda_y)
-    return procrustes_orthonormal(d)
+def update_sparse(zx, zy, l_scaled, m_scaled, alpha1: float, alpha2: float):
+    """Sparse-error updates: soft thresholding of ``z + l/alpha`` at ``1/alpha``."""
+    return soft_threshold(zx + l_scaled, 1.0 / alpha1), soft_threshold(zy + m_scaled, 1.0 / alpha2)
 
 
-def update_loadings(state: RplsState, x: np.ndarray, y: np.ndarray, cfg: RplsConfig):
-    """Loading updates by singular value thresholding; uses the current q."""
-    _check_dims(state, x, y)
-    b, a = _working_matrices(state, x, y)
-    lambda_x = singular_value_threshold(b.T @ state.q, cfg.lambda1 / state.alpha1)
-    lambda_y = singular_value_threshold(a.T @ state.q, cfg.lambda2 / state.alpha2)
-    return lambda_x, lambda_y
-
-
-def update_sparse(state: RplsState, x: np.ndarray, y: np.ndarray):
-    """Sparse-error updates by elementwise soft thresholding."""
-    _check_dims(state, x, y)
-    delta_x = soft_threshold(
-        x - state.q @ state.lambda_x.T + state.l / state.alpha1, 1.0 / state.alpha1
-    )
-    delta_y = soft_threshold(
-        y - state.q @ state.lambda_y.T + state.m / state.alpha2, 1.0 / state.alpha2
-    )
-    return delta_x, delta_y
-
-
-def update_multipliers(state: RplsState, x: np.ndarray, y: np.ndarray):
+def update_multipliers(l, m, rx, ry, alpha1: float, alpha2: float):
     """Gradient-ascent step on the multipliers along the constraint residuals."""
-    _check_dims(state, x, y)
-    rx = x - state.q @ state.lambda_x.T - state.delta_x
-    ry = y - state.q @ state.lambda_y.T - state.delta_y
-    return state.l + state.alpha1 * rx, state.m + state.alpha2 * ry
+    return l + alpha1 * rx, m + alpha2 * ry
 
 
 def update_penalties(alpha1: float, alpha2: float, cfg: RplsConfig):
@@ -232,11 +200,8 @@ def update_penalties(alpha1: float, alpha2: float, cfg: RplsConfig):
     return min(cfg.rho * alpha1, cfg.alpha_max), min(cfg.rho * alpha2, cfg.alpha_max)
 
 
-def primal_residual(state: RplsState, x: np.ndarray, y: np.ndarray) -> float:
+def primal_residual(rx, ry) -> float:
     """Sum of Frobenius norms of the two constraint residuals."""
-    _check_dims(state, x, y)
-    rx = x - state.q @ state.lambda_x.T - state.delta_x
-    ry = y - state.q @ state.lambda_y.T - state.delta_y
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
 
 
@@ -320,17 +285,31 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
     n, p = xc.shape
     r = yc.shape[1]
     state = initial_state(n, p, r, cfg)
+    # Step-local buffers, overwritten every iteration. No state field ever
+    # refers to them, so a callback may keep the state's arrays.
+    l_scaled, b, zx = np.empty((n, p)), np.empty((n, p)), np.empty((n, p))
+    m_scaled, a, zy = np.empty((n, r)), np.empty((n, r)), np.empty((n, r))
 
     trace = []
     converged = False
     for it in range(1, cfg.max_iter + 1):
-        state.q = update_q(state, xc, yc)
-        state.lambda_x, state.lambda_y = update_loadings(state, xc, yc, cfg)
-        state.delta_x, state.delta_y = update_sparse(state, xc, yc)
-        state.l, state.m = update_multipliers(state, xc, yc)
-        state.alpha1, state.alpha2 = update_penalties(state.alpha1, state.alpha2, cfg)
+        alpha1, alpha2 = state.alpha1, state.alpha2
+        np.divide(state.l, alpha1, out=l_scaled)
+        np.divide(state.m, alpha2, out=m_scaled)
+        np.subtract(np.add(l_scaled, xc, out=b), state.delta_x, out=b)
+        np.subtract(np.add(m_scaled, yc, out=a), state.delta_y, out=a)
+        state.q = update_q(b, a, state.lambda_x, state.lambda_y, alpha1, alpha2)
+        tau_x, tau_y = cfg.lambda1 / alpha1, cfg.lambda2 / alpha2
+        state.lambda_x, state.lambda_y = update_loadings(b, a, state.q, tau_x, tau_y)
+        np.subtract(xc, np.matmul(state.q, state.lambda_x.T, out=zx), out=zx)
+        np.subtract(yc, np.matmul(state.q, state.lambda_y.T, out=zy), out=zy)
+        state.delta_x, state.delta_y = update_sparse(zx, zy, l_scaled, m_scaled, alpha1, alpha2)
+        rx = np.subtract(zx, state.delta_x, out=zx)
+        ry = np.subtract(zy, state.delta_y, out=zy)
+        state.l, state.m = update_multipliers(state.l, state.m, rx, ry, alpha1, alpha2)
+        state.alpha1, state.alpha2 = update_penalties(alpha1, alpha2, cfg)
         state.iteration = it
-        residual = primal_residual(state, xc, yc)
+        residual = primal_residual(rx, ry)
         trace.append((it, residual))
         logger.debug("iteration %d: residual=%.6e alpha1=%.3e", it, residual, state.alpha1)
         if callback is not None:

@@ -110,7 +110,9 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("text", [
         '[["k", 3]]', "5", "null", '{"k": null}', '{"alpha0": "x"}', '{"max_iter": 2.5}',
-    ], ids=["list", "number", "null", "k-null", "alpha0-string", "max_iter-fraction"])
+        '{"k": true}', '{"max_iter": true}',
+    ], ids=["list", "number", "null", "k-null", "alpha0-string", "max_iter-fraction",
+            "k-bool", "max_iter-bool"])
     def test_bad_config_file_rejected(self, dataset, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -128,6 +130,22 @@ class TestFitPredict:
                        "--out-dir", str(tmp_path / "pred"))
         assert code == 1
         assert "'theta'" in capsys.readouterr().err
+
+    def test_predict_model_shape_mismatch_rejected(self, tmp_path, capsys):
+        # A 401x1 theta with three x_means used to load and then die in a
+        # numpy broadcast inside predict.
+        write_csv(tmp_path / "x.csv", np.zeros((5, 401)))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "robustpls-model", "version": 1, "kind": "linear",
+            "theta": {"rows": 401, "cols": 1, "data": [0.0] * 401},
+            "x_means": [0.0, 0.0, 0.0], "y_means": [0.0], "method_tag": "MLR", "n_components": 0,
+        }))
+        code = run_cli("predict", "--model", str(path), "--x", str(tmp_path / "x.csv"),
+                       "--out-dir", str(tmp_path / "pred"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'x_means'" in err[0]
 
     def test_predict_constant_model(self, tmp_path, dataset):
         # Zero response loadings predict the stored offsets everywhere.

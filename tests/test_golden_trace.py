@@ -51,7 +51,7 @@ def environment() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
-    except Exception:  # numpy without structured build info
+    except (TypeError, KeyError):  # numpy without structured build info
         blas = None
     return {"numpy": np.__version__, "blas": blas}
 

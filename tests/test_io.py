@@ -160,3 +160,37 @@ class TestModelJson:
     def test_malformed_document_names_field(self, doc):
         with pytest.raises(ParseError, match="'theta'"):
             model_from_dict(doc)
+
+    @staticmethod
+    def _linear_doc(**fields):
+        doc = {"format": "robustpls-model", "version": 1, "kind": "linear",
+               "theta": {"rows": 3, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+               "x_means": [0.0, 0.0, 0.0], "y_means": [0.0, 0.0], "method_tag": "MLR",
+               "n_components": 0}
+        doc.update(fields)
+        return doc
+
+    @pytest.mark.parametrize("field, value", [
+        ("x_means", [0.0, 0.0]),
+        ("y_means", [0.0, 0.0, 0.0]),
+        ("x_means", [[0.0, 0.0, 0.0]]),
+        ("y_means", 0.0),
+    ], ids=["x_means-length", "y_means-length", "x_means-2d", "y_means-scalar"])
+    def test_shapes_cross_checked(self, field, value):
+        assert model_from_dict(self._linear_doc()).theta.shape == (3, 2)
+        with pytest.raises(ParseError, match=f"'{field}'"):
+            model_from_dict(self._linear_doc(**{field: value}))
+
+    def test_rpls_shapes_cross_checked(self, rng):
+        x = rng.standard_normal((12, 5))
+        doc = model_to_dict(fit(x, x[:, :2], RplsConfig(k=2, max_iter=3)))
+        doc["delta_y"] = {"rows": 11, "cols": 2, "data": [0.0] * 22}
+        with pytest.raises(ParseError, match="'delta_y'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("notes", ["abc", [1, 2], {"a": "b"}], ids=["string", "numbers", "object"])
+    def test_notes_must_be_list_of_strings(self, notes):
+        # A string used to load as a tuple of its characters.
+        assert model_from_dict(self._linear_doc(notes=["ok"])).notes == ("ok",)
+        with pytest.raises(ParseError, match="'notes'"):
+            model_from_dict(self._linear_doc(notes=notes))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robustpls import rpls
 from robustpls.datagen import SPARSE_RANDOM, OutlierSpec, SynthSpec, generate, inject_sparse
 from robustpls.errors import ConfigError, DimensionError, InvalidInputError
 from robustpls.rpls import (
@@ -36,6 +37,43 @@ def make_state(rng, n=12, p=7, r=3, k=4, alpha1=2.0, alpha2=1.5):
     )
 
 
+# The block functions take the intermediates fit builds in one pass; these
+# build them from a state exactly as the fit loop does.
+def shifted(state, x, y):
+    """``b = l/alpha1 + X - Dx`` and ``a = m/alpha2 + Y - Dy``."""
+    return state.l / state.alpha1 + x - state.delta_x, state.m / state.alpha2 + y - state.delta_y
+
+
+def residuals(state, x, y):
+    """``rx = X - Q Lx^T - Dx`` and ``ry = Y - Q Ly^T - Dy``."""
+    return (x - state.q @ state.lambda_x.T - state.delta_x,
+            y - state.q @ state.lambda_y.T - state.delta_y)
+
+
+def q_step(state, x, y):
+    b, a = shifted(state, x, y)
+    return update_q(b, a, state.lambda_x, state.lambda_y, state.alpha1, state.alpha2)
+
+
+def loadings_step(state, x, y, cfg):
+    b, a = shifted(state, x, y)
+    return update_loadings(b, a, state.q, cfg.lambda1 / state.alpha1, cfg.lambda2 / state.alpha2)
+
+
+def sparse_step(state, x, y):
+    zx, zy = x - state.q @ state.lambda_x.T, y - state.q @ state.lambda_y.T
+    return update_sparse(zx, zy, state.l / state.alpha1, state.m / state.alpha2,
+                         state.alpha1, state.alpha2)
+
+
+def multiplier_step(state, x, y):
+    return update_multipliers(state.l, state.m, *residuals(state, x, y), state.alpha1, state.alpha2)
+
+
+def residual_of(state, x, y):
+    return primal_residual(*residuals(state, x, y))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -50,6 +88,12 @@ class TestConfig:
             RplsConfig(k=3, center="quartile")
         with pytest.raises(ConfigError):
             RplsConfig(k=3, max_iter=0)
+
+    @pytest.mark.parametrize("field", ["k", "max_iter", "rho", "alpha1_0", "lambda1", "tol"])
+    def test_booleans_rejected(self, field):
+        # bool is an int, so True would otherwise pass as k=1 or max_iter=1.
+        with pytest.raises(ConfigError, match=field):
+            RplsConfig(**{"k": 3, field: True})
 
     def test_resolve_fills_autos(self, rng):
         x = rng.standard_normal((10, 6))
@@ -79,13 +123,13 @@ class TestUpdateQ:
         # With all-zero loadings the target matrix is zero: identity padding.
         x = rng.standard_normal((n, p))
         y = rng.standard_normal((n, r))
-        np.testing.assert_allclose(update_q(state, x, y), np.eye(n, k))
+        np.testing.assert_allclose(q_step(state, x, y), np.eye(n, k))
 
     def test_orthonormal_output(self, rng):
         state = make_state(rng)
         x = rng.standard_normal((12, 7))
         y = rng.standard_normal((12, 3))
-        q = update_q(state, x, y)
+        q = q_step(state, x, y)
         assert np.linalg.norm(q.T @ q - np.eye(4)) < 1e-10
 
     def test_fixed_point_preserved(self, rng):
@@ -102,12 +146,7 @@ class TestUpdateQ:
             l=np.zeros((n, p)), m=np.zeros((n, r)),
             alpha1=2.0, alpha2=3.0,
         )
-        np.testing.assert_allclose(update_q(state, x, y), q_star, atol=1e-10)
-
-    def test_dimension_mismatch(self, rng):
-        state = make_state(rng)
-        with pytest.raises(DimensionError):
-            update_q(state, rng.standard_normal((12, 9)), rng.standard_normal((12, 3)))
+        np.testing.assert_allclose(q_step(state, x, y), q_star, atol=1e-10)
 
 
 class TestUpdateLoadings:
@@ -116,7 +155,7 @@ class TestUpdateLoadings:
         x = rng.standard_normal((12, 7))
         y = rng.standard_normal((12, 3))
         cfg = RplsConfig(k=4, lambda1=1e-300, lambda2=1e-300)
-        lx, ly = update_loadings(state, x, y, cfg)
+        lx, ly = loadings_step(state, x, y, cfg)
         b = state.l / state.alpha1 + x - state.delta_x
         a = state.m / state.alpha2 + y - state.delta_y
         np.testing.assert_allclose(lx, b.T @ state.q, atol=1e-12)
@@ -129,7 +168,7 @@ class TestUpdateLoadings:
         state.l = np.zeros((12, 7))
         y = rng.standard_normal((12, 3))
         cfg = RplsConfig(k=4, lambda1=1e3 * state.alpha1, lambda2=1.0)
-        lx, _ = update_loadings(state, x, y, cfg)
+        lx, _ = loadings_step(state, x, y, cfg)
         np.testing.assert_array_equal(lx, np.zeros((7, 4)))
 
     def test_spectrum_matches_oracle(self, rng):
@@ -137,7 +176,7 @@ class TestUpdateLoadings:
         x = rng.standard_normal((12, 7))
         y = rng.standard_normal((12, 3))
         cfg = RplsConfig(k=4, lambda1=0.8, lambda2=0.3)
-        lx, ly = update_loadings(state, x, y, cfg)
+        lx, ly = loadings_step(state, x, y, cfg)
         b = state.l / state.alpha1 + x - state.delta_x
         a = state.m / state.alpha2 + y - state.delta_y
         np.testing.assert_allclose(
@@ -164,7 +203,7 @@ class TestUpdateSparse:
             l=np.zeros((n, p)), m=np.zeros((n, r)),
             alpha1=1.0, alpha2=1.0,
         )
-        dx, dy = update_sparse(state, q @ lx.T, q @ ly.T)
+        dx, dy = sparse_step(state, q @ lx.T, q @ ly.T)
         np.testing.assert_array_equal(dx, np.zeros((n, p)))
         np.testing.assert_array_equal(dy, np.zeros((n, r)))
 
@@ -174,14 +213,14 @@ class TestUpdateSparse:
         state = initial_state(n, p, r, RplsConfig(k=k, alpha1_0=1.0))
         x = np.zeros((n, p))
         x[2, 1] = 5.0
-        dx, _ = update_sparse(state, x, np.zeros((n, r)))
+        dx, _ = sparse_step(state, x, np.zeros((n, r)))
         assert dx[2, 1] == pytest.approx(4.0)
 
     def test_small_residuals_exactly_zero(self, rng):
         state = make_state(rng)
         x = rng.standard_normal((12, 7))
         y = rng.standard_normal((12, 3))
-        dx, dy = update_sparse(state, x, y)
+        dx, dy = sparse_step(state, x, y)
         rx = x - state.q @ state.lambda_x.T + state.l / state.alpha1
         ry = y - state.q @ state.lambda_y.T + state.m / state.alpha2
         assert (dx[np.abs(rx) <= 1.0 / state.alpha1] == 0).all()
@@ -200,7 +239,7 @@ class TestMultipliersAndPenalties:
             l=rng.standard_normal((n, p)), m=rng.standard_normal((n, r)),
             alpha1=2.0, alpha2=2.0,
         )
-        l2, m2 = update_multipliers(state, q @ lx.T, q @ ly.T)
+        l2, m2 = multiplier_step(state, q @ lx.T, q @ ly.T)
         np.testing.assert_allclose(l2, state.l, atol=1e-12)
         np.testing.assert_allclose(m2, state.m, atol=1e-12)
 
@@ -211,10 +250,10 @@ class TestMultipliersAndPenalties:
         x = rng.standard_normal((n, p))
         y = np.zeros((n, r))
         rx = x.copy()  # q @ lx.T and delta_x are zero
-        l1, _ = update_multipliers(state, x, y)
+        l1, _ = multiplier_step(state, x, y)
         np.testing.assert_allclose(l1, 1.5 * rx)
         state.l = l1
-        l2, _ = update_multipliers(state, x, y)
+        l2, _ = multiplier_step(state, x, y)
         np.testing.assert_allclose(l2, 2 * 1.5 * rx)
 
     def test_penalty_schedule(self):
@@ -236,7 +275,7 @@ class TestPrimalResidual:
             l=np.zeros((n, p)), m=np.zeros((n, r)),
             alpha1=1.0, alpha2=1.0,
         )
-        assert primal_residual(state, q @ lx.T, q @ ly.T) == 0.0
+        assert residual_of(state, q @ lx.T, q @ ly.T) == 0.0
 
     def test_offset_by_known_error(self, rng):
         n, p, r, k = 10, 6, 3, 3
@@ -250,7 +289,7 @@ class TestPrimalResidual:
             l=np.zeros((n, p)), m=np.zeros((n, r)),
             alpha1=1.0, alpha2=1.0,
         )
-        assert primal_residual(state, q @ lx.T, q @ ly.T) == pytest.approx(np.linalg.norm(e))
+        assert residual_of(state, q @ lx.T, q @ ly.T) == pytest.approx(np.linalg.norm(e))
 
     def test_matches_elementwise_oracle(self, rng):
         state = make_state(rng)
@@ -260,7 +299,7 @@ class TestPrimalResidual:
         ry = y - state.q @ state.lambda_y.T - state.delta_y
         sx = sum(rx[i, j] ** 2 for i in range(12) for j in range(7))
         sy = sum(ry[i, j] ** 2 for i in range(12) for j in range(3))
-        assert primal_residual(state, x, y) == pytest.approx(np.sqrt(sx) + np.sqrt(sy), rel=1e-12)
+        assert residual_of(state, x, y) == pytest.approx(np.sqrt(sx) + np.sqrt(sy), rel=1e-12)
 
 
 class TestNuclearNormTransfer:
@@ -282,15 +321,15 @@ class TestBlockUpdatesDecreaseLagrangian:
         state = make_state(rng)
         before = augmented_lagrangian(state, x, y, cfg)
 
-        state.q = update_q(state, x, y)
+        state.q = q_step(state, x, y)
         after_q = augmented_lagrangian(state, x, y, cfg)
         assert after_q <= before + 1e-9
 
-        state.lambda_x, state.lambda_y = update_loadings(state, x, y, cfg)
+        state.lambda_x, state.lambda_y = loadings_step(state, x, y, cfg)
         after_loadings = augmented_lagrangian(state, x, y, cfg)
         assert after_loadings <= after_q + 1e-9
 
-        state.delta_x, state.delta_y = update_sparse(state, x, y)
+        state.delta_x, state.delta_y = sparse_step(state, x, y)
         after_sparse = augmented_lagrangian(state, x, y, cfg)
         assert after_sparse <= after_loadings + 1e-9
 
@@ -377,6 +416,37 @@ class TestFit:
         np.testing.assert_allclose(m_med.y_means, np.median(y, axis=0))
         m_none = fit(x, y, RplsConfig(k=2, center="none", max_iter=5, tol=1e-300))
         np.testing.assert_array_equal(m_none.x_means, np.zeros(5))
+
+    def test_dimension_mismatch(self, rng):
+        # Shapes are checked once, where fit takes its inputs.
+        with pytest.raises(DimensionError):
+            fit(rng.standard_normal((12, 9)), rng.standard_normal((11, 3)), RplsConfig(k=4))
+
+    def test_callback_states_not_overwritten(self, rng):
+        # The loop reuses its own buffers; the state's arrays must be fresh
+        # every iteration, so references a callback keeps stay valid.
+        x = rng.standard_normal((15, 8))
+        y = rng.standard_normal((15, 3))
+        fields = ("q", "delta_x", "l", "m")
+        kept = []
+        fit(x, y, RplsConfig(k=3, max_iter=20, tol=1e-300),
+            callback=lambda s, r: kept.append({f: (getattr(s, f), getattr(s, f).copy()) for f in fields}))
+        assert len(kept) == 20
+        for it, arrays in enumerate(kept, start=1):
+            for f, (ref, snapshot) in arrays.items():
+                assert ref.tobytes() == snapshot.tobytes(), f"state.{f} of iteration {it} changed"
+
+    def test_each_block_runs_once_per_iteration(self, rng, monkeypatch):
+        calls = {}
+        for name in ("update_q", "update_loadings", "update_sparse", "update_multipliers",
+                     "update_penalties", "primal_residual"):
+            def counted(*args, _fn=getattr(rpls, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(rpls, name, counted)
+        fit(rng.standard_normal((15, 8)), rng.standard_normal((15, 3)),
+            RplsConfig(k=3, max_iter=9, tol=1e-300))
+        assert calls == dict.fromkeys(calls, 9) and len(calls) == 6
 
     def test_input_validation(self, rng):
         with pytest.raises(DimensionError):
