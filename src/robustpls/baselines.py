@@ -207,11 +207,15 @@ def fit_pls_nipals(x, y, k: int, center: bool = True, scale: bool = False):
     return factors, model
 
 
-def predict(model: LinearModel, x_new) -> np.ndarray:
-    """Apply a fitted linear model to new rows."""
+def _affine(x_new, x_means, matrix, offset=None) -> np.ndarray:
+    """``(x_new - x_means) @ matrix + offset``, the one checked apply behind every prediction."""
     x_new = as_matrix(x_new, "x_new")
-    if x_new.shape[1] != model.theta.shape[0]:
-        raise DimensionError(
-            f"x_new has {x_new.shape[1]} columns, model expects {model.theta.shape[0]}"
-        )
-    return (x_new - model.x_means) @ model.theta + model.y_means
+    if x_new.shape[1] != matrix.shape[0]:
+        raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")
+    out = (x_new - x_means) @ matrix
+    return out if offset is None else out + offset
+
+
+def predict(model, x_new) -> np.ndarray:
+    """Apply a fitted ``LinearModel``, or a compiled ``ProjectionRegressor``, to new rows."""
+    return _affine(x_new, model.x_means, model.theta, model.y_means)

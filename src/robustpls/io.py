@@ -260,9 +260,10 @@ def _decode_model(doc: dict):
 
 
 def save_model(path, model) -> None:
+    # json.dumps, unlike json.dump, runs the C encoder for compact output.
+    text = json.dumps(model_to_dict(model), separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):

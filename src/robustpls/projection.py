@@ -3,18 +3,20 @@
 A sample is mapped to latent scores by least squares against the
 predictor loadings, then the response loadings map the scores to a
 prediction. Works with loadings from either the robust decomposition or
-a classical PLS fit.
+a classical PLS fit. Both maps are fixed once the loadings are, so a
+regressor compiles them at construction and predicting is one matrix
+product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RANK_RCOND, PlsFactors
-from .errors import DimensionError
-from .linalg import as_matrix, svd
+from .baselines import RANK_RCOND, PlsFactors, _affine
+from .errors import InvalidInputError
+from .linalg import svd
 from .rpls import RplsModel
 
 __all__ = [
@@ -34,7 +36,15 @@ STABILITY_THRESHOLD = 3.0
 
 @dataclass(frozen=True)
 class ProjectionRegressor:
-    """Loadings and offsets needed to predict responses by projection."""
+    """Loadings and offsets needed to predict responses by projection.
+
+    Construction compiles the score map ``w = pinv(lambda_x.T)`` (p x k)
+    and the coefficients ``theta = w @ lambda_y.T`` (p x r), keeping only
+    the directions of ``lambda_x`` whose gain exceeds ``RANK_RCOND`` times
+    the largest. With none left (k = 0 or all-zero loadings) ``theta`` is
+    zero and predictions are ``y_means``. ``w`` and ``theta`` are derived,
+    read-only and never serialized.
+    """
 
     lambda_x: np.ndarray  # p x k
     lambda_y: np.ndarray  # r x k
@@ -42,14 +52,19 @@ class ProjectionRegressor:
     y_means: np.ndarray   # (r,)
     source_tag: str       # "RPLS" or "PLS"
     notes: tuple = ()
+    w: np.ndarray = field(init=False, repr=False)      # p x k
+    theta: np.ndarray = field(init=False, repr=False)  # p x r
 
-
-def _loading_basis(reg: ProjectionRegressor):
-    """Thin SVD of the predictor loadings, keeping numerically nonzero gains."""
-    f = svd(reg.lambda_x)
-    smax = f.s[0] if f.s.size and f.s[0] > 0 else 0.0
-    keep = f.s > RANK_RCOND * smax if smax > 0 else np.zeros(f.s.shape, dtype=bool)
-    return f.u[:, keep], f.s[keep], f.v[:, keep]
+    def __post_init__(self):
+        if not (np.isfinite(self.lambda_x).all() and np.isfinite(self.lambda_y).all()):
+            raise InvalidInputError("projection loadings contain non-finite entries")
+        u, s, vt = np.linalg.svd(self.lambda_x, full_matrices=False)
+        keep = s > RANK_RCOND * s.max(initial=0.0)
+        w = (u[:, keep] / s[keep]) @ vt[keep]
+        theta = w @ self.lambda_y.T
+        for name, m in (("w", w), ("theta", theta)):
+            m.flags.writeable = False  # callers get these arrays, not copies
+            object.__setattr__(self, name, m)
 
 
 def from_rpls(model: RplsModel, stability_threshold: float | None = STABILITY_THRESHOLD) -> ProjectionRegressor:
@@ -118,33 +133,21 @@ def _rank_deficient(lambda_x: np.ndarray) -> str | None:
 def project(reg: ProjectionRegressor, x_new) -> np.ndarray:
     """Latent scores of new rows: least-squares fit of ``q @ lambda_x.T``.
 
-    Computed through the pseudoinverse of the loading transpose, so
-    numerically dead directions contribute zero score.
+    Computed as ``(x_new - x_means) @ w`` through the compiled
+    pseudoinverse, so numerically dead directions contribute zero score.
     """
-    x_new = as_matrix(x_new, "x_new")
-    if x_new.shape[1] != reg.lambda_x.shape[0]:
-        raise DimensionError(
-            f"x_new has {x_new.shape[1]} columns, regressor expects {reg.lambda_x.shape[0]}"
-        )
-    u, s, v = _loading_basis(reg)
-    if s.size == 0:
-        return np.zeros((x_new.shape[0], reg.lambda_x.shape[1]))
-    return ((x_new - reg.x_means) @ (u / s)) @ v.T
+    return _affine(x_new, reg.x_means, reg.w)
 
 
 def predict_projection(reg: ProjectionRegressor, x_new) -> np.ndarray:
-    """Predict responses: project to latent scores, map through y-loadings."""
-    return project(reg, x_new) @ reg.lambda_y.T + reg.y_means
+    """Predict responses: ``(x_new - x_means) @ theta + y_means``."""
+    return _affine(x_new, reg.x_means, reg.theta, reg.y_means)
 
 
 def regression_matrix(reg: ProjectionRegressor) -> np.ndarray:
-    """Explicit p x r coefficient matrix equivalent to predict_projection.
+    """The compiled p x r coefficient matrix ``theta`` that predict_projection applies.
 
-    Solves ``lambda_x^T theta = lambda_y^T`` in the minimum-norm
-    least-squares sense; ``predict_projection(reg, x)`` equals
-    ``(x - x_means) @ theta + y_means`` up to rounding.
+    It solves ``lambda_x^T theta = lambda_y^T`` in the minimum-norm
+    least-squares sense.
     """
-    u, s, v = _loading_basis(reg)
-    if s.size == 0:
-        return np.zeros((reg.lambda_x.shape[0], reg.lambda_y.shape[0]))
-    return (u / s) @ (reg.lambda_y @ v).T
+    return reg.theta

@@ -146,26 +146,6 @@ class RplsModel:
     x_means: np.ndarray
     y_means: np.ndarray
 
-    @property
-    def q(self) -> np.ndarray:
-        return self.state.q
-
-    @property
-    def lambda_x(self) -> np.ndarray:
-        return self.state.lambda_x
-
-    @property
-    def lambda_y(self) -> np.ndarray:
-        return self.state.lambda_y
-
-    @property
-    def delta_x(self) -> np.ndarray:
-        return self.state.delta_x
-
-    @property
-    def delta_y(self) -> np.ndarray:
-        return self.state.delta_y
-
     def low_rank_x(self) -> np.ndarray:
         """Denoised predictor block ``Q Lx^T`` (centered coordinates)."""
         return self.state.q @ self.state.lambda_x.T

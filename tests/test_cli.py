@@ -1,12 +1,15 @@
 """End-to-end command-line tests."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustpls
 from robustpls.cli import main
 from robustpls.datagen import rng_from_seed
 from robustpls.evaluate import METHODS, nmse, run_experiment
@@ -52,6 +55,19 @@ class TestSynth:
         mask = load_csv(out / "mask_y.csv").astype(bool)
         np.testing.assert_array_equal(mask.sum(axis=0), [15, 15, 15, 15])
         assert not (out / "mask_x.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-sigma", "inf"],
+        ["--noise-sigma", "nan"],
+        ["--outliers", "sparse", "--outlier-magnitude", "nan"],
+        ["--outliers", "lowtail", "--tail-multiplier", "inf"],
+    ], ids=["noise-inf", "noise-nan", "magnitude-nan", "tail-multiplier-inf"])
+    def test_non_finite_spec_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        assert run_cli("synth", *flags, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "x.csv").exists()
 
 
 class TestFitPredict:
@@ -298,11 +314,14 @@ class TestCliErrors:
             assert report["methods"][tag]["nmse"] is not None
 
     def test_console_script_entry_point(self, tmp_path):
+        # The child imports the same package as this process, installed or not.
+        src = str(Path(robustpls.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "robustpls.cli", "synth", "--n", "10", "--p", "5",
              "--r", "1", "--k", "2", "--n-collinear", "1", "--seed", "1",
              "--out-dir", str(tmp_path / "d")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "x.csv").exists()

@@ -33,6 +33,16 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             SynthSpec(n=0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, "0.1", None])
+    def test_noise_sigma_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthSpec(noise_sigma=value)
+
+    @pytest.mark.parametrize("name", ["n", "p", "r", "k_true", "n_collinear", "noise_sigma", "seed"])
+    def test_booleans_rejected(self, name):
+        with pytest.raises(ConfigError, match="boolean"):
+            SynthSpec(**{name: True})
+
 
 class TestGenerate:
     def test_shapes_and_truth(self):
@@ -173,6 +183,17 @@ class TestOutlierSpecValidation:
             OutlierSpec(kind=SPARSE_RANDOM, fraction=1.5)
         with pytest.raises(ConfigError):
             OutlierSpec(kind=LOW_TAIL, tail_multiplier=0.0)
+
+    @pytest.mark.parametrize("name", ["fraction", "magnitude", "tail_fraction", "tail_multiplier"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "1", None])
+    def test_numbers_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            OutlierSpec(kind=SPARSE_RANDOM, **{name: value})
+
+    @pytest.mark.parametrize("name", ["fraction", "magnitude", "tail_fraction", "tail_multiplier", "seed"])
+    def test_booleans_rejected(self, name):
+        with pytest.raises(ConfigError, match="boolean"):
+            OutlierSpec(kind=LOW_TAIL, **{name: True})
 
 
 class TestCrossModuleSanity:

@@ -91,6 +91,12 @@ class TestModelJson:
         assert loaded.residual_trace == model.residual_trace
         assert loaded.config == model.config
 
+    def test_compact_document(self, tmp_path, rng):
+        model = fit_mlr(rng.standard_normal((20, 5)), rng.standard_normal((20, 2)))
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert path.read_text() == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
+
     def test_linear_round_trip(self, tmp_path, rng):
         x = rng.standard_normal((20, 5))
         y = rng.standard_normal((20, 2))

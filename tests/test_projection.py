@@ -1,11 +1,14 @@
 """Projection-regression tests: score recovery, prediction identities, screening."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from robustpls.baselines import fit_pls_nipals
+from robustpls.baselines import RANK_RCOND, PlsFactors, fit_pls_nipals
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail
-from robustpls.errors import DimensionError
+from robustpls.errors import DimensionError, InvalidInputError
+from robustpls.io import load_model, model_to_dict, save_model
 from robustpls.projection import (
     ProjectionRegressor,
     from_pls,
@@ -176,3 +179,90 @@ class TestFromPls:
         preds = predict_projection(reg, x)
         assert preds.shape == (30, 2)
         assert np.isfinite(preds).all()
+
+
+def pls_regressor(rng, x_loadings, r=3):
+    """A regressor over the given predictor loadings, built the way from_pls builds one."""
+    p, k = x_loadings.shape
+    factors = PlsFactors(
+        scores=np.zeros((1, k)),
+        weights=np.zeros((p, k)),
+        x_loadings=x_loadings,
+        y_loadings=rng.standard_normal((r, k)),
+    )
+    return from_pls(factors, rng.standard_normal(p), rng.standard_normal(r))
+
+
+# Predictor loadings of each kind, with the note from_pls records for them.
+LOADINGS = {
+    "random": (lambda rng: rng.standard_normal((7, 4)), ()),
+    "rank-deficient": (lambda rng: rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4)),
+                       ("predictor loadings rank deficient: pseudoinverse projection",)),
+    "all-zero": (lambda rng: np.zeros((7, 4)),
+                 ("predictor loadings are zero: predictions fall back to the response offsets",)),
+    "k=0": (lambda rng: np.zeros((7, 0)),
+            ("predictor loadings are zero: predictions fall back to the response offsets",)),
+}
+
+
+class TestCompiledPredictor:
+    @pytest.mark.parametrize("case", LOADINGS)
+    def test_matches_pseudoinverse_oracle(self, rng, case):
+        make_loadings, notes = LOADINGS[case]
+        reg = pls_regressor(rng, make_loadings(rng))
+        assert reg.notes == notes
+        x_new = rng.standard_normal((6, 7))
+        oracle = (x_new - reg.x_means) @ np.linalg.pinv(reg.lambda_x.T, rcond=RANK_RCOND) @ reg.lambda_y.T + reg.y_means
+        # Same pseudoinverse, products taken in another order: rounding only.
+        assert np.linalg.norm(predict_projection(reg, x_new) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("case", LOADINGS)
+    def test_no_svd_after_construction(self, rng, case, monkeypatch):
+        reg = pls_regressor(rng, LOADINGS[case][0](rng))
+        x_new = rng.standard_normal((6, 7))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken after construction")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        predict_projection(reg, x_new)
+        project(reg, x_new)
+        regression_matrix(reg)
+
+    def test_compiled_maps_read_only_and_not_serialized(self, rng):
+        reg = make_regressor(rng)
+        with pytest.raises(ValueError):
+            regression_matrix(reg)[0, 0] = 1.0
+        doc = model_to_dict(reg)
+        assert "theta" not in doc and "w" not in doc
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["lambda_x", "lambda_y"])
+    def test_non_finite_loadings_rejected(self, rng, field, bad):
+        reg = make_regressor(rng)
+        loadings = getattr(reg, field).copy()
+        loadings[0, 0] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            replace(reg, **{field: loadings})
+
+    @pytest.mark.parametrize("case", ["all-zero", "k=0"])
+    def test_zero_loadings_predict_offsets(self, rng, case):
+        reg = pls_regressor(rng, LOADINGS[case][0](rng), r=2)
+        x_new = rng.standard_normal((5, 7))
+        np.testing.assert_array_equal(regression_matrix(reg), np.zeros((7, 2)))
+        np.testing.assert_array_equal(project(reg, x_new), np.zeros((5, reg.lambda_x.shape[1])))
+        np.testing.assert_array_equal(predict_projection(reg, x_new), np.tile(reg.y_means, (5, 1)))
+
+    def test_vanished_cross_covariance_round_trips(self, rng, tmp_path):
+        # PLS on an all-zero response stops before its first component.
+        x = rng.standard_normal((20, 6))
+        factors, linear = fit_pls_nipals(x, np.zeros((20, 1)), 2)
+        reg = from_pls(factors, linear.x_means, linear.y_means)
+        assert reg.lambda_x.shape == (6, 0)
+        np.testing.assert_array_equal(predict_projection(reg, x), np.tile(reg.y_means, (20, 1)))
+        path = tmp_path / "model.json"
+        save_model(path, reg)
+        loaded = load_model(path)
+        assert loaded.lambda_x.shape == (6, 0) and loaded.lambda_y.shape == (1, 0)
+        assert loaded.notes == reg.notes
+        np.testing.assert_array_equal(predict_projection(loaded, x), predict_projection(reg, x))
