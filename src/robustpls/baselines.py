@@ -207,15 +207,14 @@ def fit_pls_nipals(x, y, k: int, center: bool = True, scale: bool = False):
     return factors, model
 
 
-def _affine(x_new, x_means, matrix, offset=None) -> np.ndarray:
-    """``(x_new - x_means) @ matrix + offset``, the one checked apply behind every prediction."""
+def _centered_product(x_new, x_means, matrix) -> np.ndarray:
+    """``(x_new - x_means) @ matrix`` for checked rows; shared with projection."""
     x_new = as_matrix(x_new, "x_new")
     if x_new.shape[1] != matrix.shape[0]:
         raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")
-    out = (x_new - x_means) @ matrix
-    return out if offset is None else out + offset
+    return (x_new - x_means) @ matrix
 
 
-def predict(model, x_new) -> np.ndarray:
-    """Apply a fitted ``LinearModel``, or a compiled ``ProjectionRegressor``, to new rows."""
-    return _affine(x_new, model.x_means, model.theta, model.y_means)
+def predict(model: LinearModel, x_new) -> np.ndarray:
+    """Apply a fitted linear model to new rows."""
+    return _centered_product(x_new, model.x_means, model.theta) + model.y_means

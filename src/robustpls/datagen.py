@@ -14,13 +14,11 @@ so identical seeds reproduce identical streams on any platform.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .linalg import as_matrix, svd
 
 __all__ = [
@@ -45,17 +43,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_fields(spec, reals) -> None:
-    """Reject a boolean in any field and a non-finite or non-number value in ``reals``."""
-    for name, v in vars(spec).items():
-        if isinstance(v, bool):  # bool is an int subclass, so the checks below would pass it
-            raise ConfigError(f"{name} must not be a boolean, got {v!r}")
-    for name in reals:
-        v = getattr(spec, name)
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Shape and noise parameters of one synthetic regression problem."""
@@ -69,7 +56,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, ("noise_sigma",))
+        check_fields(self, ("noise_sigma",))
         for name in ("n", "p", "r", "k_true"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
@@ -98,7 +85,7 @@ class OutlierSpec:
     def __post_init__(self):
         if self.kind not in (SPARSE_RANDOM, LOW_TAIL):
             raise ConfigError(f"kind must be {SPARSE_RANDOM} or {LOW_TAIL}, got {self.kind!r}")
-        _check_fields(self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"))
+        check_fields(self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"))
         for name in ("fraction", "tail_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

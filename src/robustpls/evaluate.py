@@ -159,9 +159,11 @@ _BY_TAG = {m.tag: m for m in METHODS.values()}
 
 
 def predict_model(model, x_new) -> np.ndarray:
-    """Predictions of any fitted model kind; a robust fit is compiled by ``from_rpls`` first."""
+    """Predictions of any fitted model kind: robust, projection or linear."""
     if isinstance(model, rpls.RplsModel):
         model = projection.from_rpls(model)
+    if isinstance(model, projection.ProjectionRegressor):
+        return projection.predict_projection(model, x_new)
     return baselines.predict(model, x_new)
 
 

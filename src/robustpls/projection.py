@@ -3,9 +3,9 @@
 A sample is mapped to latent scores by least squares against the
 predictor loadings, then the response loadings map the scores to a
 prediction. Works with loadings from either the robust decomposition or
-a classical PLS fit. Both maps are fixed once the loadings are, so a
-regressor compiles them at construction and predicting is one matrix
-product.
+a classical PLS fit. The score map is fixed once the loadings are, so a
+regressor compiles it at construction and predicting takes no
+decomposition.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RANK_RCOND, PlsFactors, _affine
+from .baselines import RANK_RCOND, PlsFactors, _centered_product
 from .errors import InvalidInputError
 from .linalg import svd
 from .rpls import RplsModel
@@ -33,17 +33,22 @@ __all__ = [
 # leverage along it stays below this multiple of its signal gain.
 STABILITY_THRESHOLD = 3.0
 
+# Notes the compile records about the predictor loadings it was given.
+ZERO_NOTE = "predictor loadings are zero: predictions fall back to the response offsets"
+DEFICIENT_NOTE = "predictor loadings rank deficient: pseudoinverse projection"
+
 
 @dataclass(frozen=True)
 class ProjectionRegressor:
     """Loadings and offsets needed to predict responses by projection.
 
-    Construction compiles the score map ``w = pinv(lambda_x.T)`` (p x k)
-    and the coefficients ``theta = w @ lambda_y.T`` (p x r), keeping only
-    the directions of ``lambda_x`` whose gain exceeds ``RANK_RCOND`` times
-    the largest. With none left (k = 0 or all-zero loadings) ``theta`` is
-    zero and predictions are ``y_means``. ``w`` and ``theta`` are derived,
-    read-only and never serialized.
+    Construction compiles the score map ``w = pinv(lambda_x.T)`` (p x k),
+    keeping only the directions of ``lambda_x`` whose gain exceeds
+    ``RANK_RCOND`` times the largest. With none left (k = 0 or all-zero
+    loadings) ``w`` is zero and predictions are ``y_means``. ``w`` is
+    derived and never serialized. The compile also owns the rank notes: it
+    drops any ``ZERO_NOTE`` or ``DEFICIENT_NOTE`` it was given and appends
+    the one that holds for these loadings.
     """
 
     lambda_x: np.ndarray  # p x k
@@ -52,19 +57,20 @@ class ProjectionRegressor:
     y_means: np.ndarray   # (r,)
     source_tag: str       # "RPLS" or "PLS"
     notes: tuple = ()
-    w: np.ndarray = field(init=False, repr=False)      # p x k
-    theta: np.ndarray = field(init=False, repr=False)  # p x r
+    w: np.ndarray = field(init=False, repr=False)  # p x k
 
     def __post_init__(self):
         if not (np.isfinite(self.lambda_x).all() and np.isfinite(self.lambda_y).all()):
             raise InvalidInputError("projection loadings contain non-finite entries")
         u, s, vt = np.linalg.svd(self.lambda_x, full_matrices=False)
         keep = s > RANK_RCOND * s.max(initial=0.0)
-        w = (u[:, keep] / s[keep]) @ vt[keep]
-        theta = w @ self.lambda_y.T
-        for name, m in (("w", w), ("theta", theta)):
-            m.flags.writeable = False  # callers get these arrays, not copies
-            object.__setattr__(self, name, m)
+        notes = tuple(n for n in self.notes if n not in (ZERO_NOTE, DEFICIENT_NOTE))
+        if not keep.any():
+            notes += (ZERO_NOTE,)
+        elif not keep.all():
+            notes += (DEFICIENT_NOTE,)
+        object.__setattr__(self, "w", (u[:, keep] / s[keep]) @ vt[keep])
+        object.__setattr__(self, "notes", notes)
 
 
 def from_rpls(model: RplsModel, stability_threshold: float | None = STABILITY_THRESHOLD) -> ProjectionRegressor:
@@ -90,9 +96,6 @@ def from_rpls(model: RplsModel, stability_threshold: float | None = STABILITY_TH
             lambda_x = (f.u[:, keep] * f.s[keep]) @ f.v[:, keep].T
             lambda_y = lambda_y @ f.v[:, keep] @ f.v[:, keep].T
             notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",)
-    deficient = _rank_deficient(lambda_x)
-    if deficient:
-        notes = notes + (deficient,)
     return ProjectionRegressor(
         lambda_x=lambda_x,
         lambda_y=lambda_y,
@@ -105,29 +108,13 @@ def from_rpls(model: RplsModel, stability_threshold: float | None = STABILITY_TH
 
 def from_pls(factors: PlsFactors, x_means, y_means) -> ProjectionRegressor:
     """Build a projection regressor from classical PLS loadings."""
-    lambda_x = np.array(factors.x_loadings, dtype=np.float64)
-    lambda_y = np.array(factors.y_loadings, dtype=np.float64)
-    notes = ()
-    deficient = _rank_deficient(lambda_x)
-    if deficient:
-        notes = (deficient,)
     return ProjectionRegressor(
-        lambda_x=lambda_x,
-        lambda_y=lambda_y,
+        lambda_x=np.array(factors.x_loadings, dtype=np.float64),
+        lambda_y=np.array(factors.y_loadings, dtype=np.float64),
         x_means=np.asarray(x_means, dtype=np.float64),
         y_means=np.asarray(y_means, dtype=np.float64),
         source_tag="PLS",
-        notes=notes,
     )
-
-
-def _rank_deficient(lambda_x: np.ndarray) -> str | None:
-    if lambda_x.shape[1] == 0 or not lambda_x.any():
-        return "predictor loadings are zero: predictions fall back to the response offsets"
-    s = np.linalg.svd(lambda_x, compute_uv=False)
-    if s[-1] <= RANK_RCOND * s[0]:
-        return "predictor loadings rank deficient: pseudoinverse projection"
-    return None
 
 
 def project(reg: ProjectionRegressor, x_new) -> np.ndarray:
@@ -136,18 +123,19 @@ def project(reg: ProjectionRegressor, x_new) -> np.ndarray:
     Computed as ``(x_new - x_means) @ w`` through the compiled
     pseudoinverse, so numerically dead directions contribute zero score.
     """
-    return _affine(x_new, reg.x_means, reg.w)
+    return _centered_product(x_new, reg.x_means, reg.w)
 
 
 def predict_projection(reg: ProjectionRegressor, x_new) -> np.ndarray:
-    """Predict responses: ``(x_new - x_means) @ theta + y_means``."""
-    return _affine(x_new, reg.x_means, reg.theta, reg.y_means)
+    """Predict responses: project to latent scores, map through y-loadings."""
+    return project(reg, x_new) @ reg.lambda_y.T + reg.y_means
 
 
 def regression_matrix(reg: ProjectionRegressor) -> np.ndarray:
-    """The compiled p x r coefficient matrix ``theta`` that predict_projection applies.
+    """Explicit p x r coefficient matrix equivalent to predict_projection.
 
-    It solves ``lambda_x^T theta = lambda_y^T`` in the minimum-norm
-    least-squares sense.
+    ``w @ lambda_y.T`` solves ``lambda_x^T theta = lambda_y^T`` in the
+    minimum-norm least-squares sense; ``predict_projection(reg, x)`` equals
+    ``(x - x_means) @ theta + y_means`` up to rounding.
     """
-    return reg.theta
+    return reg.w @ reg.lambda_y.T

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_fields
 from .linalg import as_matrix, procrustes_orthonormal, singular_value_threshold, soft_threshold
 
 __all__ = [
@@ -78,20 +78,18 @@ class RplsConfig:
     center: str = "median"
 
     def __post_init__(self):
-        for name, v in vars(self).items():
-            if isinstance(v, bool):  # bool is an int subclass, so the checks below would pass it
-                raise ConfigError(f"{name} must not be a boolean, got {v!r}")
+        check_fields(self, ("alpha1_0", "alpha2_0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"))
         if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         for name in ("lambda1", "lambda2", "tol"):
             v = getattr(self, name)
-            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+            if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive (or None for auto), got {v!r}")
         for name in ("alpha1_0", "alpha2_0", "alpha_max"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+            if v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v!r}")
-        if not (isinstance(self.rho, numbers.Real) and math.isfinite(self.rho) and self.rho >= 1):
+        if self.rho < 1:
             raise ConfigError(f"rho must be >= 1, got {self.rho!r}")
         if self.alpha_max < self.alpha1_0 or self.alpha_max < self.alpha2_0:
             raise ConfigError("alpha_max must be >= both initial penalties")

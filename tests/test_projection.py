@@ -8,8 +8,11 @@ import pytest
 from robustpls.baselines import RANK_RCOND, PlsFactors, fit_pls_nipals
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail
 from robustpls.errors import DimensionError, InvalidInputError
+from robustpls import projection
 from robustpls.io import load_model, model_to_dict, save_model
 from robustpls.projection import (
+    DEFICIENT_NOTE,
+    ZERO_NOTE,
     ProjectionRegressor,
     from_pls,
     from_rpls,
@@ -197,11 +200,9 @@ def pls_regressor(rng, x_loadings, r=3):
 LOADINGS = {
     "random": (lambda rng: rng.standard_normal((7, 4)), ()),
     "rank-deficient": (lambda rng: rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4)),
-                       ("predictor loadings rank deficient: pseudoinverse projection",)),
-    "all-zero": (lambda rng: np.zeros((7, 4)),
-                 ("predictor loadings are zero: predictions fall back to the response offsets",)),
-    "k=0": (lambda rng: np.zeros((7, 0)),
-            ("predictor loadings are zero: predictions fall back to the response offsets",)),
+                       (DEFICIENT_NOTE,)),
+    "all-zero": (lambda rng: np.zeros((7, 4)), (ZERO_NOTE,)),
+    "k=0": (lambda rng: np.zeros((7, 0)), (ZERO_NOTE,)),
 }
 
 
@@ -229,12 +230,53 @@ class TestCompiledPredictor:
         project(reg, x_new)
         regression_matrix(reg)
 
-    def test_compiled_maps_read_only_and_not_serialized(self, rng):
+    def test_compiled_map_not_serialized(self, rng, tmp_path):
         reg = make_regressor(rng)
-        with pytest.raises(ValueError):
-            regression_matrix(reg)[0, 0] = 1.0
         doc = model_to_dict(reg)
-        assert "theta" not in doc and "w" not in doc
+        assert "w" not in doc and "theta" not in doc
+        path = tmp_path / "model.json"
+        save_model(path, reg)
+        np.testing.assert_array_equal(load_model(path).w, reg.w)
+
+    def test_predict_goes_through_project(self, rng, monkeypatch):
+        # Prediction maps the latent scores of project through the y-loadings.
+        reg = make_regressor(rng)
+        x_new = rng.standard_normal((6, 7))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(projection, "project", spy)
+        np.testing.assert_array_equal(
+            predict_projection(reg, x_new), project(reg, x_new) @ reg.lambda_y.T + reg.y_means
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", LOADINGS)
+    def test_one_decomposition_per_build(self, rng, case, monkeypatch):
+        # The rank note comes from the compile's own singular values.
+        loadings = LOADINGS[case][0](rng)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        pls_regressor(rng, loadings)
+        assert len(calls) == 1
+
+    def test_compile_owns_rank_notes(self, rng):
+        # A rank note that does not hold is dropped; the one that does is appended.
+        lam = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4))
+        reg = make_regressor(rng)
+        stale = replace(reg, notes=("kept", ZERO_NOTE))
+        assert stale.notes == ("kept",)
+        deficient = replace(reg, lambda_x=lam, notes=("kept", DEFICIENT_NOTE))
+        assert deficient.notes == ("kept", DEFICIENT_NOTE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["lambda_x", "lambda_y"])
