@@ -1,8 +1,8 @@
 """Classical regression baselines: MLR, PCR, and iterative PLS.
 
-All fitters center the data, optionally scale columns to unit variance,
-and produce a common ``LinearModel`` whose coefficients act on raw
-(uncentered) inputs through ``predict``.
+All fitters center the data (unless ``center=False``) and produce a
+common ``LinearModel`` whose coefficients act on raw (uncentered) inputs
+through ``predict``.
 """
 
 from __future__ import annotations
@@ -57,44 +57,29 @@ class PlsFactors:
     y_loadings: np.ndarray  # r x k
 
 
-def _center_scale(x, y, center, scale):
+def _center(x, y, center):
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
         raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     x_means = x.mean(axis=0) if center else np.zeros(x.shape[1])
     y_means = y.mean(axis=0) if center else np.zeros(y.shape[1])
-    xc = x - x_means
-    yc = y - y_means
-    if scale:
-        x_scale = xc.std(axis=0, ddof=1)
-        y_scale = yc.std(axis=0, ddof=1)
-        x_scale[x_scale == 0.0] = 1.0
-        y_scale[y_scale == 0.0] = 1.0
-    else:
-        x_scale = np.ones(x.shape[1])
-        y_scale = np.ones(y.shape[1])
-    return xc / x_scale, yc / y_scale, x_means, y_means, x_scale, y_scale
+    return x - x_means, y - y_means, x_means, y_means
 
 
-def _fold_scales(theta_scaled, x_scale, y_scale):
-    # Compose scaling into theta so predict stays (x - means) @ theta + means.
-    return (theta_scaled / x_scale[:, None]) * y_scale[None, :]
-
-
-def fit_mlr(x, y, center: bool = True, scale: bool = False) -> LinearModel:
+def fit_mlr(x, y, center: bool = True) -> LinearModel:
     """Ordinary least squares on (centered) data.
 
     Falls back to the minimum-norm pseudoinverse solution when the
     predictor matrix is rank deficient, recording a note on the model.
     """
-    xc, yc, x_means, y_means, x_scale, y_scale = _center_scale(x, y, center, scale)
+    xc, yc, x_means, y_means = _center(x, y, center)
     theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
     notes = ()
     if rank < xc.shape[1]:
         notes = (f"rank deficient predictors (rank {rank} < {xc.shape[1]}): pseudoinverse solution",)
     return LinearModel(
-        theta=_fold_scales(theta, x_scale, y_scale),
+        theta=theta,
         x_means=x_means,
         y_means=y_means,
         method_tag="MLR",
@@ -103,9 +88,9 @@ def fit_mlr(x, y, center: bool = True, scale: bool = False) -> LinearModel:
     )
 
 
-def fit_pcr(x, y, k: int, center: bool = True, scale: bool = False) -> LinearModel:
+def fit_pcr(x, y, k: int, center: bool = True) -> LinearModel:
     """Principal component regression with the top-k score directions."""
-    xc, yc, x_means, y_means, x_scale, y_scale = _center_scale(x, y, center, scale)
+    xc, yc, x_means, y_means = _center(x, y, center)
     n, p = xc.shape
     if not 1 <= k <= min(n, p):
         raise ConfigError(f"k must be in [1, {min(n, p)}], got {k}")
@@ -120,7 +105,7 @@ def fit_pcr(x, y, k: int, center: bool = True, scale: bool = False) -> LinearMod
     v = f.v[:, :k][:, keep]
     theta = (v / s[keep]) @ (u.T @ yc)
     return LinearModel(
-        theta=_fold_scales(theta, x_scale, y_scale),
+        theta=theta,
         x_means=x_means,
         y_means=y_means,
         method_tag="PCR",
@@ -129,7 +114,7 @@ def fit_pcr(x, y, k: int, center: bool = True, scale: bool = False) -> LinearMod
     )
 
 
-def fit_pls_nipals(x, y, k: int, center: bool = True, scale: bool = False):
+def fit_pls_nipals(x, y, k: int, center: bool = True):
     """Iterative PLS: one covariance-maximizing component per deflation round.
 
     Each round takes the dominant singular direction of the residual
@@ -143,7 +128,7 @@ def fit_pls_nipals(x, y, k: int, center: bool = True, scale: bool = False):
     -------
     (PlsFactors, LinearModel)
     """
-    xc, yc, x_means, y_means, x_scale, y_scale = _center_scale(x, y, center, scale)
+    xc, yc, x_means, y_means = _center(x, y, center)
     n, p = xc.shape
     r = yc.shape[1]
     if not 1 <= k <= min(n, p):
@@ -197,7 +182,7 @@ def fit_pls_nipals(x, y, k: int, center: bool = True, scale: bool = False):
             notes = notes + ("singular loading-weight product: pseudoinverse composition",)
 
     model = LinearModel(
-        theta=_fold_scales(theta, x_scale, y_scale),
+        theta=theta,
         x_means=x_means,
         y_means=y_means,
         method_tag="PLSR",

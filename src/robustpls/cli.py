@@ -23,7 +23,6 @@ from .io import DatasetFile, format_float, load_csv, load_model, save_model, wri
 
 # Config-file keys and flags: RplsConfig fields, except that alpha0 sets alpha1_0 and alpha2_0.
 HYPER_KEYS = ("k", "lambda1", "lambda2", "rho", "alpha0", "alpha_max", "tol", "max_iter", "center")
-DEFAULT_K = 5
 
 
 def _setup_logging():
@@ -34,7 +33,7 @@ def _setup_logging():
 
 
 def _add_hyper_flags(p):
-    p.add_argument("--k", type=int, default=None, help=f"latent dimension (default {DEFAULT_K})")
+    p.add_argument("--k", type=int, default=None, help=f"latent dimension (default {rpls.RplsConfig.k})")
     p.add_argument("--lambda1", type=float, default=None, help="nuclear-norm weight, X side")
     p.add_argument("--lambda2", type=float, default=None, help="nuclear-norm weight, Y side")
     p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
@@ -48,16 +47,17 @@ def _add_hyper_flags(p):
 
 
 def _add_outlier_flags(p):
+    spec = datagen.OutlierSpec
     p.add_argument("--outliers", choices=["none", "sparse", "lowtail"], default="none")
-    p.add_argument("--outlier-fraction", type=float, default=0.02)
-    p.add_argument("--outlier-magnitude", type=float, default=10.0)
-    p.add_argument("--tail-fraction", type=float, default=0.10)
-    p.add_argument("--tail-multiplier", type=float, default=10.0)
+    p.add_argument("--outlier-fraction", type=float, default=spec.fraction)
+    p.add_argument("--outlier-magnitude", type=float, default=spec.magnitude)
+    p.add_argument("--tail-fraction", type=float, default=spec.tail_fraction)
+    p.add_argument("--tail-multiplier", type=float, default=spec.tail_multiplier)
 
 
 def _rpls_config(args) -> rpls.RplsConfig:
-    """RplsConfig's defaults with k=DEFAULT_K < --config file < explicit flags."""
-    h = {"k": DEFAULT_K}
+    """RplsConfig's defaults < --config file < explicit flags."""
+    h = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
@@ -73,7 +73,7 @@ def _rpls_config(args) -> rpls.RplsConfig:
     return rpls.RplsConfig(**h)
 
 
-def _outlier_spec(args, seed):
+def _outlier_spec(args):
     kind = datagen.SPARSE_RANDOM if args.outliers == "sparse" else datagen.LOW_TAIL
     return datagen.OutlierSpec(
         kind=kind,
@@ -81,7 +81,7 @@ def _outlier_spec(args, seed):
         magnitude=args.outlier_magnitude,
         tail_fraction=args.tail_fraction,
         tail_multiplier=args.tail_multiplier,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -100,7 +100,7 @@ def cmd_synth(args) -> int:
     )
     x, y, truth = datagen.generate(spec)
     if args.outliers != "none":
-        ospec = _outlier_spec(args, args.seed)
+        ospec = _outlier_spec(args)
         write_csv(out / "x_clean.csv", x)
         write_csv(out / "y_clean.csv", y)
         if args.outliers == "sparse":
@@ -123,7 +123,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     x, y = _load_xy(args)
     cfg = _rpls_config(args)
-    model, _ = evaluate.METHODS[args.method].fit(x, y, cfg.k, cfg)
+    model, _ = evaluate.METHODS[args.method].fit(x, y, cfg)
     if isinstance(model, rpls.RplsModel):
         write_csv(
             out / "residual_trace.csv",
@@ -190,7 +190,7 @@ def _write_bench_outputs(out, report, y_test):
             scores_2d = res.scores[:, :2]
             write_csv(out / f"scores_{name}.csv", scores_2d, header=["score_1", "score_2"])
             try:
-                ell = evaluate.confidence_ellipse(scores_2d, coverage=0.95)
+                ell = evaluate.confidence_ellipse(scores_2d)
                 write_csv(
                     out / f"ellipse_{name}.csv",
                     np.array([[ell.center[0], ell.center[1], ell.semi_axes[0], ell.semi_axes[1], ell.rotation_angle]]),
@@ -220,7 +220,7 @@ def cmd_bench(args) -> int:
     train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
     if args.outliers != "none":
-        ospec = _outlier_spec(args, args.seed)
+        ospec = _outlier_spec(args)
         if args.outliers == "sparse":
             x_tr, y_tr, _ = datagen.inject_sparse(x[train], y[train], ospec)
             x = x.copy()
@@ -231,10 +231,7 @@ def cmd_bench(args) -> int:
         y[train] = y_tr
 
     cfg = _rpls_config(args)
-    report = evaluate.run_experiment(
-        x, y, (train, test), tags, k=cfg.k, rpls_config=cfg,
-        dataset_tag=Path(args.x).name,
-    )
+    report = evaluate.run_experiment(x, y, (train, test), tags, cfg, dataset_tag=Path(args.x).name)
     _write_bench_outputs(out, report, y[test])
     for tag in tags:
         res = report.results[tag]
@@ -252,13 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset (optionally corrupted)")
-    p_synth.add_argument("--n", type=int, default=150)
-    p_synth.add_argument("--p", type=int, default=40)
-    p_synth.add_argument("--r", type=int, default=4)
-    p_synth.add_argument("--k", type=int, default=5, help="true latent dimension")
-    p_synth.add_argument("--n-collinear", type=int, default=10)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.01)
-    p_synth.add_argument("--seed", type=int, default=0)
+    spec = datagen.SynthSpec
+    p_synth.add_argument("--n", type=int, default=spec.n)
+    p_synth.add_argument("--p", type=int, default=spec.p)
+    p_synth.add_argument("--r", type=int, default=spec.r)
+    p_synth.add_argument("--k", type=int, default=spec.k_true, help="true latent dimension")
+    p_synth.add_argument("--n-collinear", type=int, default=spec.n_collinear)
+    p_synth.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
+    p_synth.add_argument("--seed", type=int, default=spec.seed)
     _add_outlier_flags(p_synth)
     p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--y", required=True)
     p_bench.add_argument("--methods", default=",".join(evaluate.METHODS))
     p_bench.add_argument("--split", type=float, default=0.8, help="train fraction")
-    p_bench.add_argument("--seed", type=int, default=0, help="split shuffle / outlier seed")
+    p_bench.add_argument("--seed", type=int, default=datagen.OutlierSpec.seed, help="split shuffle / outlier seed")
     p_bench.add_argument("--has-header", action="store_true")
     _add_outlier_flags(p_bench)
     _add_hyper_flags(p_bench)

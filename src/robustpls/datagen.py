@@ -15,6 +15,7 @@ so identical seeds reproduce identical streams on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +40,11 @@ LOW_TAIL = "LOW_TAIL"
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Counter-based deterministic generator used by every sampler here."""
+    """Counter-based deterministic generator used by every sampler here.
+
+    Raises ConfigError unless ``seed`` is a nonnegative integer.
+    """
+    check_fields(SimpleNamespace(seed=seed), integers=(("seed", 0),))
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -56,13 +61,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, ("noise_sigma",))
-        for name in ("n", "p", "r", "k_true"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.n_collinear, (int, np.integer)) or self.n_collinear < 0:
-            raise ConfigError(f"n_collinear must be a nonnegative integer, got {self.n_collinear!r}")
+        check_fields(
+            self, ("noise_sigma",),
+            integers=(("n", 1), ("p", 1), ("r", 1), ("k_true", 1), ("n_collinear", 0), ("seed", 0)),
+        )
         if self.k_true > self.p:
             raise ConfigError(f"k_true={self.k_true} exceeds p={self.p}")
         if self.n_collinear >= self.p:
@@ -85,7 +87,7 @@ class OutlierSpec:
     def __post_init__(self):
         if self.kind not in (SPARSE_RANDOM, LOW_TAIL):
             raise ConfigError(f"kind must be {SPARSE_RANDOM} or {LOW_TAIL}, got {self.kind!r}")
-        check_fields(self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"))
+        check_fields(self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"), integers=(("seed", 0),))
         for name in ("fraction", "tail_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -36,12 +36,14 @@ class DegenerateEllipseError(RplsError, ValueError):
     """Score covariance is singular; no confidence ellipse exists."""
 
 
-def check_fields(spec, reals=(), optional=()) -> None:
-    """Reject a boolean in any field of the dataclass ``spec``.
+def check_fields(spec, reals=(), optional=(), integers=()) -> None:
+    """Reject a boolean in any field of ``spec`` (a dataclass or namespace).
 
-    Also require a finite real in each field named in ``reals``, and a
-    finite real or None in each named in ``optional``. A bool is an int
-    subclass, so numeric checks alone would take ``True`` as 1.
+    Also require a finite real in each field named in ``reals``, a finite
+    real or None in each named in ``optional``, and for each
+    ``(name, least)`` in ``integers`` an integer of at least ``least``
+    (1: positive, 0: nonnegative). A bool is an int subclass, so numeric
+    checks alone would take ``True`` as 1.
     """
     for name, v in vars(spec).items():
         if isinstance(v, bool):
@@ -52,3 +54,7 @@ def check_fields(spec, reals=(), optional=()) -> None:
             continue
         if not (isinstance(v, numbers.Real) and math.isfinite(v)):
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    for name, least in integers:
+        v = getattr(spec, name)
+        if not (isinstance(v, numbers.Integral) and v >= least):
+            raise ConfigError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {v!r}")

@@ -120,33 +120,35 @@ def _check_split(n, train_indices, test_indices):
     return np.sort(train), np.sort(test)
 
 
-def _fit_mlr(x, y, k, rpls_config):
+def _fit_mlr(x, y, config):
     return baselines.fit_mlr(x, y), None
 
 
-def _fit_pcr(x, y, k, rpls_config):
+def _fit_pcr(x, y, config):
+    k = config.k
     model = baselines.fit_pcr(x, y, k)
     f = svd(x - x.mean(axis=0))
     return model, f.u[:, :k] * f.s[:k]
 
 
-def _fit_plsr(x, y, k, rpls_config):
-    factors, model = baselines.fit_pls_nipals(x, y, k)
+def _fit_plsr(x, y, config):
+    factors, model = baselines.fit_pls_nipals(x, y, config.k)
     return model, factors.scores
 
 
-def _fit_pls_proj(x, y, k, rpls_config):
-    factors, model = baselines.fit_pls_nipals(x, y, k)
+def _fit_pls_proj(x, y, config):
+    factors, model = baselines.fit_pls_nipals(x, y, config.k)
     return projection.from_pls(factors, model.x_means, model.y_means), factors.scores
 
 
-def _fit_rpls(x, y, k, rpls_config):
-    model = rpls.fit(x, y, rpls_config if rpls_config is not None else rpls.RplsConfig(k=k))
+def _fit_rpls(x, y, config):
+    model = rpls.fit(x, y, config)
     return model, model.state.q
 
 
-# CLI name -> (report tag, fit(x, y, k, rpls_config) -> (model, training scores or None)).
-# `rpls fit`, `rpls bench` and run_experiment all dispatch through this table.
+# CLI name -> (report tag, fit(x, y, config) -> (model, training scores or None)).
+# `rpls fit`, `rpls bench` and run_experiment all dispatch through this table;
+# the component methods read their latent dimension from config.k.
 Method = namedtuple("Method", "tag fit")
 METHODS = {
     "mlr": Method("MLR", _fit_mlr),
@@ -172,8 +174,7 @@ def run_experiment(
     y,
     split,
     methods,
-    k: int = 5,
-    rpls_config: rpls.RplsConfig | None = None,
+    config: rpls.RplsConfig = rpls.RplsConfig(),
     dataset_tag: str = "",
 ) -> ExperimentReport:
     """Fit each method on the train rows and score it on the test rows.
@@ -187,11 +188,9 @@ def run_experiment(
         sorted internally so shuffled splits give identical reports.
     methods : sequence of str
         Report tags of entries in ``METHODS``.
-    k : int
-        Latent dimension for the component-based methods.
-    rpls_config : RplsConfig, optional
-        Overrides the default robust-solver configuration (its ``k``
-        wins over the ``k`` argument for RPLS_PROJ).
+    config : RplsConfig
+        Latent dimension ``k`` for every component-based method, and the
+        robust solver's hyperparameters for RPLS_PROJ.
 
     A method that raises is recorded with its error message; the other
     methods still run.
@@ -210,7 +209,7 @@ def run_experiment(
     report = ExperimentReport(train_indices=train, test_indices=test, dataset_tag=dataset_tag)
     for tag in methods:
         try:
-            model, scores = _BY_TAG[tag].fit(x_train, y_train, k, rpls_config)
+            model, scores = _BY_TAG[tag].fit(x_train, y_train, config)
             predictions = predict_model(model, x_test)
             report.results[tag] = MethodResult(
                 predictions=predictions,

@@ -208,8 +208,14 @@ _AXES = {
 }
 
 
+def _finite(field: str, v):
+    if not np.isfinite(v).all():
+        raise ValueError(f"field {field!r} has a non-finite entry")
+    return v
+
+
 def _decode_arrays(doc: dict, kind: str) -> dict:
-    """Every array field of a model kind, checked to agree in shape."""
+    """Every array field of a model kind, checked to be finite and to agree in shape."""
     dims = {}
     arrays = {}
     for field, axes in _AXES[kind].items():
@@ -217,7 +223,7 @@ def _decode_arrays(doc: dict, kind: str) -> dict:
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(axes, a.shape))
         if a.ndim != len(axes) or a.shape != expected:
             raise ValueError(f"field {field!r} has shape {a.shape}, which does not fit the other fields")
-        arrays[field] = a
+        arrays[field] = _finite(field, a)
     return arrays
 
 
@@ -237,8 +243,8 @@ def _decode_model(doc: dict):
         x_means, y_means = arrays.pop("x_means"), arrays.pop("y_means")
         state = RplsState(
             **arrays,
-            alpha1=float(doc["alpha1"]),
-            alpha2=float(doc["alpha2"]),
+            alpha1=_finite("alpha1", float(doc["alpha1"])),
+            alpha2=_finite("alpha2", float(doc["alpha2"])),
             iteration=int(doc["iterations"]),
         )
         return RplsModel(

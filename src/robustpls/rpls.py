@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +55,9 @@ CENTER_MODES = ("mean", "median", "none")
 class RplsConfig:
     """Hyperparameters of the alternating solver.
 
+    ``k`` is the latent dimension. It is the one source of ``k`` for every
+    component method in ``evaluate.METHODS``, not only the robust solver.
+
     ``lambda1``, ``lambda2`` and ``tol`` may be left as None, in which
     case they are resolved against the data when fitting:
     ``lambda = 1/sqrt(max(n, p))`` and
@@ -66,7 +68,7 @@ class RplsConfig:
     or "none".
     """
 
-    k: int
+    k: int = 5
     lambda1: float | None = None
     lambda2: float | None = None
     alpha1_0: float = 1.0
@@ -78,9 +80,10 @@ class RplsConfig:
     center: str = "median"
 
     def __post_init__(self):
-        check_fields(self, ("alpha1_0", "alpha2_0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"))
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
+        check_fields(
+            self, ("alpha1_0", "alpha2_0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"),
+            integers=(("k", 1), ("max_iter", 1)),
+        )
         for name in ("lambda1", "lambda2", "tol"):
             v = getattr(self, name)
             if v is not None and v <= 0:
@@ -93,8 +96,6 @@ class RplsConfig:
             raise ConfigError(f"rho must be >= 1, got {self.rho!r}")
         if self.alpha_max < self.alpha1_0 or self.alpha_max < self.alpha2_0:
             raise ConfigError("alpha_max must be >= both initial penalties")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ConfigError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if self.center not in CENTER_MODES:
             raise ConfigError(f"center must be one of {CENTER_MODES}, got {self.center!r}")
 

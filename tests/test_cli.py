@@ -11,9 +11,19 @@ import pytest
 
 import robustpls
 from robustpls.cli import main
-from robustpls.datagen import rng_from_seed
+from robustpls.datagen import (
+    LOW_TAIL,
+    SPARSE_RANDOM,
+    OutlierSpec,
+    SynthSpec,
+    generate,
+    inject_low_tail,
+    inject_sparse,
+    rng_from_seed,
+)
 from robustpls.evaluate import METHODS, nmse, run_experiment
 from robustpls.io import DatasetFile, load_csv, load_model, write_csv
+from robustpls.rpls import RplsConfig
 
 
 def run_cli(*args):
@@ -39,6 +49,25 @@ class TestSynth:
         run_cli("synth", "--seed", "3", "--out-dir", str(b))
         assert (a / "x.csv").read_bytes() == (b / "x.csv").read_bytes()
         assert (a / "y.csv").read_bytes() == (b / "y.csv").read_bytes()
+
+    def test_defaults_are_synth_spec_defaults(self, tmp_path):
+        out = tmp_path / "data"
+        assert run_cli("synth", "--out-dir", str(out)) == 0
+        x, y, _ = generate(SynthSpec())
+        assert load_csv(out / "x.csv").tobytes() == x.tobytes()
+        assert load_csv(out / "y.csv").tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("regime", ["sparse", "lowtail"])
+    def test_outlier_defaults_are_outlier_spec_defaults(self, tmp_path, regime):
+        out = tmp_path / "data"
+        assert run_cli("synth", "--outliers", regime, "--out-dir", str(out)) == 0
+        x, y, _ = generate(SynthSpec())
+        if regime == "sparse":
+            x, y, _ = inject_sparse(x, y, OutlierSpec(kind=SPARSE_RANDOM))
+        else:
+            y, _ = inject_low_tail(y, OutlierSpec(kind=LOW_TAIL))
+        assert load_csv(out / "x.csv").tobytes() == x.tobytes()
+        assert load_csv(out / "y.csv").tobytes() == y.tobytes()
 
     def test_sparse_outliers_write_masks_and_clean(self, tmp_path):
         out = tmp_path / "data"
@@ -101,7 +130,7 @@ class TestFitPredict:
         assert preds.shape == (12, 2)
         assert np.isfinite(preds).all()
         tag = METHODS[method].tag
-        expected = run_experiment(x, y, (train, test), [tag], k=3).results[tag].predictions
+        expected = run_experiment(x, y, (train, test), [tag], config=RplsConfig(k=3)).results[tag].predictions
         assert preds.tobytes() == expected.tobytes()
 
     def test_rpls_fit_writes_trace(self, dataset, tmp_path):
@@ -146,6 +175,23 @@ class TestFitPredict:
                        "--out-dir", str(tmp_path / "pred"))
         assert code == 1
         assert "'theta'" in capsys.readouterr().err
+
+    def test_predict_non_finite_model_rejected(self, dataset, tmp_path, capsys):
+        # Loading it would let predict write all-nan rows and exit 0.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "robustpls-model", "version": 1, "kind": "linear",
+            "theta": {"rows": 12, "cols": 2, "data": [float("nan")] + [0.0] * 23},
+            "x_means": [float("inf")] + [0.0] * 11, "y_means": [0.0, 0.0],
+            "method_tag": "MLR", "n_components": 0,
+        }))
+        pred_dir = tmp_path / "pred"
+        code = run_cli("predict", "--model", str(path), "--x", str(dataset / "x.csv"),
+                       "--out-dir", str(pred_dir))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'theta'" in err[0]
+        assert not (pred_dir / "predictions.csv").exists()
 
     def test_predict_model_shape_mismatch_rejected(self, tmp_path, capsys):
         # A 401x1 theta with three x_means used to load and then die in a
@@ -231,17 +277,29 @@ class TestBench:
             outs.append((out / "report.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bench_with_outliers(self, tmp_path):
+    @pytest.mark.parametrize("regime", ["sparse", "lowtail"])
+    def test_bench_with_outliers(self, tmp_path, regime):
         data = tmp_path / "data"
         run_cli("synth", "--seed", "24", "--out-dir", str(data))
         out = tmp_path / "bench"
         assert run_cli(
             "bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
-            "--methods", "mlr,rpls", "--k", "5", "--seed", "3",
-            "--outliers", "sparse", "--out-dir", str(out),
+            "--methods", "mlr,rpls", "--seed", "3",
+            "--outliers", regime, "--out-dir", str(out),
         ) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["methods"]["RPLS_PROJ"]["nmse"] < report["methods"]["MLR"]["nmse"]
+        # Only the training rows are corrupted, as the library does it with the same seed.
+        x, y = load_csv(data / "x.csv"), load_csv(data / "y.csv")
+        perm = rng_from_seed(3).permutation(150)
+        train, test = np.sort(perm[:120]), np.sort(perm[120:])
+        assert report["train_indices"] == train.tolist()
+        if regime == "sparse":
+            x[train], y[train], _ = inject_sparse(x[train], y[train], OutlierSpec(kind=SPARSE_RANDOM, seed=3))
+        else:
+            y[train], _ = inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL, seed=3))
+        expected = run_experiment(x, y, (train, test), ["RPLS_PROJ"]).results["RPLS_PROJ"].predictions
+        assert load_csv(out / "predictions_rpls_proj.csv").tobytes() == expected.tobytes()
 
 
 class TestCliErrors:
@@ -270,6 +328,21 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # numpy rejects a negative seed with a ValueError, which is no RplsError.
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "8", "--r", "2", "--k", "2",
+                "--n-collinear", "2", "--out-dir", str(data))
+        capsys.readouterr()
+        argv = ["--x", str(data / "x.csv"), "--y", str(data / "y.csv")] if command == "bench" else []
+        out = tmp_path / "out"
+        code = run_cli(command, *argv, "--seed", "-1", "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert not any(out.glob("*.csv"))
 
     def test_nonconvergence_still_succeeds(self, tmp_path, capsys):
         data = tmp_path / "data"

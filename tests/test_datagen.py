@@ -12,6 +12,7 @@ from robustpls.datagen import (
     generate,
     inject_low_tail,
     inject_sparse,
+    rng_from_seed,
 )
 from robustpls.errors import ConfigError
 from robustpls.evaluate import nmse
@@ -42,6 +43,31 @@ class TestSynthSpec:
     def test_booleans_rejected(self, name):
         with pytest.raises(ConfigError, match="boolean"):
             SynthSpec(**{name: True})
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("n", 0, "positive"), ("p", 2.0, "positive"), ("r", -1, "positive"), ("k_true", "5", "positive"),
+        ("n_collinear", -1, "nonnegative"), ("seed", -1, "nonnegative"), ("seed", 2.5, "nonnegative"),
+    ])
+    def test_integer_fields(self, name, value, rule):
+        with pytest.raises(ConfigError, match=f"{name} must be a {rule} integer"):
+            SynthSpec(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = SynthSpec(n=np.int64(30), p=np.int32(8), n_collinear=np.uint8(0), seed=np.int64(3))
+        assert (spec.n, spec.p, spec.n_collinear, spec.seed) == (30, 8, 0, 3)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, "0"])
+    def test_bad_seed_is_config_error(self, seed):
+        # numpy's own error for -1 is a bare ValueError, which the CLI does not report.
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            rng_from_seed(seed)
+
+    def test_outlier_spec_seed(self):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            OutlierSpec(kind=SPARSE_RANDOM, seed=-1)
+        assert OutlierSpec(kind=LOW_TAIL, seed=np.uint32(7)).seed == 7
 
 
 class TestGenerate:

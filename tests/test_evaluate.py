@@ -8,11 +8,13 @@ import pytest
 from robustpls.datagen import SynthSpec, generate, rng_from_seed
 from robustpls.errors import ConfigError, DegenerateEllipseError, DimensionError, MetricError
 from robustpls.evaluate import (
+    METHODS,
     chi2_quantile_2dof,
     confidence_ellipse,
     nmse,
     run_experiment,
 )
+from robustpls.rpls import RplsConfig
 
 
 class TestNmse:
@@ -128,7 +130,7 @@ class TestRunExperiment:
     def test_split_row_counts(self):
         x, y, _ = generate(SynthSpec(n=60, seed=22))
         perm = rng_from_seed(5).permutation(60)
-        report = run_experiment(x, y, (perm[:48], perm[48:]), ["MLR", "PCR"], k=5)
+        report = run_experiment(x, y, (perm[:48], perm[48:]), ["MLR", "PCR"], config=RplsConfig(k=5))
         for res in report.results.values():
             assert res.predictions.shape == (12, 4)
 
@@ -136,8 +138,8 @@ class TestRunExperiment:
         x, y, _ = generate(SynthSpec(n=60, seed=23))
         perm = rng_from_seed(6).permutation(60)
         train, test = perm[:48], perm[48:]
-        r1 = run_experiment(x, y, (train, test), ["MLR", "PLSR"], k=4)
-        r2 = run_experiment(x, y, (train[::-1], test[::-1]), ["MLR", "PLSR"], k=4)
+        r1 = run_experiment(x, y, (train, test), ["MLR", "PLSR"], config=RplsConfig(k=4))
+        r2 = run_experiment(x, y, (train[::-1], test[::-1]), ["MLR", "PLSR"], config=RplsConfig(k=4))
         for tag in ("MLR", "PLSR"):
             np.testing.assert_array_equal(r1.results[tag].predictions, r2.results[tag].predictions)
             assert r1.results[tag].nmse == r2.results[tag].nmse
@@ -146,7 +148,7 @@ class TestRunExperiment:
         x, y, _ = generate(SynthSpec(n=50, seed=24))
         x_orig, y_orig = x.copy(), y.copy()
         perm = rng_from_seed(7).permutation(50)
-        run_experiment(x, y, (perm[:40], perm[40:]), ["MLR", "PCR", "PLSR"], k=3)
+        run_experiment(x, y, (perm[:40], perm[40:]), ["MLR", "PCR", "PLSR"], config=RplsConfig(k=3))
         np.testing.assert_array_equal(x, x_orig)
         np.testing.assert_array_equal(y, y_orig)
 
@@ -154,7 +156,7 @@ class TestRunExperiment:
         x, y, _ = generate(SynthSpec(n=80, seed=25))
         perm = rng_from_seed(8).permutation(80)
         tags = ["MLR", "PCR", "PLSR", "PLS_PROJ", "RPLS_PROJ"]
-        report = run_experiment(x, y, (perm[:64], perm[64:]), tags, k=5)
+        report = run_experiment(x, y, (perm[:64], perm[64:]), tags, config=RplsConfig(k=5))
         for tag in tags:
             res = report.results[tag]
             assert res.error is None
@@ -162,11 +164,25 @@ class TestRunExperiment:
         assert report.results["RPLS_PROJ"].scores.shape == (64, 5)
         assert report.results["MLR"].scores is None
 
+    def test_config_k_sets_every_latent_method(self):
+        # One k, from the config, for the baselines and the robust solver alike.
+        x, y, _ = generate(SynthSpec(n=60, seed=28))
+        perm = rng_from_seed(10).permutation(60)
+        train, test = perm[:48], perm[48:]
+        config = RplsConfig(k=3)
+        tags = ["PCR", "PLSR", "PLS_PROJ", "RPLS_PROJ"]
+        report = run_experiment(x, y, (train, test), tags, config=config)
+        for tag in tags:
+            assert report.results[tag].scores.shape == (48, 3), tag
+        x_train, y_train = x[np.sort(train)], y[np.sort(train)]
+        assert METHODS["pcr"].fit(x_train, y_train, config)[0].n_components == 3
+        assert METHODS["plsr"].fit(x_train, y_train, config)[0].n_components == 3
+
     def test_method_error_isolated(self):
         x, y, _ = generate(SynthSpec(n=30, p=10, n_collinear=2, seed=26))
         perm = rng_from_seed(9).permutation(30)
         # k larger than test-set geometry allows for PCR: recorded, not raised.
-        report = run_experiment(x, y, (perm[:24], perm[24:]), ["MLR", "PCR"], k=25)
+        report = run_experiment(x, y, (perm[:24], perm[24:]), ["MLR", "PCR"], config=RplsConfig(k=25))
         assert report.results["MLR"].error is None
         assert report.results["PCR"].error is not None
         assert report.results["PCR"].predictions is None

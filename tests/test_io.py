@@ -194,6 +194,38 @@ class TestModelJson:
         with pytest.raises(ParseError, match="'delta_y'"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("linear", "theta", "nan"),
+        ("linear", "x_means", "inf"),
+        ("projection", "lambda_y", "-inf"),
+        ("projection", "y_means", "nan"),
+        ("rpls", "delta_x", "nan"),
+        ("rpls", "alpha1", "inf"),
+        ("rpls", "alpha2", "nan"),
+    ])
+    def test_non_finite_document_rejected(self, tmp_path, rng, kind, field, value):
+        # Loading it would let predict write all-nan rows.
+        x = rng.standard_normal((12, 5))
+        y = x[:, :2] + 0.1 * rng.standard_normal((12, 2))
+        if kind == "linear":
+            model = fit_mlr(x, y)
+        elif kind == "projection":
+            factors, linear = fit_pls_nipals(x, y, k=2)
+            model = from_pls(factors, linear.x_means, linear.y_means)
+        else:
+            model = fit(x, y, RplsConfig(k=2, max_iter=3))
+        doc = model_to_dict(model)
+        if isinstance(doc[field], dict):
+            doc[field]["data"][0] = float(value)
+        elif isinstance(doc[field], list):
+            doc[field][0] = float(value)
+        else:
+            doc[field] = float(value)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # as the NaN / Infinity tokens Python's json reads
+        with pytest.raises(ParseError, match=f"'{field}' has a non-finite entry"):
+            load_model(path)
+
     @pytest.mark.parametrize("notes", ["abc", [1, 2], {"a": "b"}], ids=["string", "numbers", "object"])
     def test_notes_must_be_list_of_strings(self, notes):
         # A string used to load as a tuple of its characters.
