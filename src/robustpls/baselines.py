@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_fields
 from .linalg import as_matrix, svd
 
 __all__ = [
@@ -41,6 +41,7 @@ class LinearModel:
     def __post_init__(self):
         if self.method_tag not in ("MLR", "PCR", "PLSR"):
             raise ConfigError(f"method_tag must be MLR, PCR or PLSR, got {self.method_tag!r}")
+        check_fields(self, integers=(("n_components", 0),))
 
 
 @dataclass(frozen=True)

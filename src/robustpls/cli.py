@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen, evaluate, rpls
+from . import datagen, evaluate, projection, rpls
 from .errors import RplsError
 from .io import DatasetFile, format_float, load_csv, load_model, save_model, write_csv
 
@@ -132,6 +132,7 @@ def cmd_fit(args) -> int:
         )
         if not model.converged:
             print(f"warning: not converged within {model.config.max_iter} iterations", file=sys.stderr)
+        model = projection.from_rpls(model)
     save_model(out / "model.json", model)
     print(f"wrote {out / 'model.json'}")
     return 0

@@ -2,8 +2,11 @@
 
 All numeric output uses the shortest decimal representation that
 round-trips to the same binary float, so files re-parse losslessly.
-Models serialize to a single JSON document discriminated by ``kind``
-("rpls", "linear", "projection"); the schema ships with the package.
+Models serialize to a single JSON document discriminated by ``kind``:
+"linear" (a coefficient matrix) or "projection" (the loadings a
+``ProjectionRegressor`` compiles). A document holds only what prediction
+reads, so a robust fit is saved as its projection regressor. The schema
+ships with the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from .baselines import LinearModel
 from .errors import ParseError
 from .projection import ProjectionRegressor
-from .rpls import RplsConfig, RplsModel, RplsState
 
 __all__ = [
     "DatasetFile",
@@ -122,43 +124,6 @@ def _decode_matrix(doc: dict, key: str) -> np.ndarray:
 
 def model_to_dict(model) -> dict:
     """Serialize a fitted model to a JSON-compatible dict."""
-    if isinstance(model, RplsModel):
-        s = model.state
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "kind": "rpls",
-            "n": int(s.q.shape[0]),
-            "p": int(s.lambda_x.shape[0]),
-            "r": int(s.lambda_y.shape[0]),
-            "k": int(s.q.shape[1]),
-            "q": _encode_matrix(s.q),
-            "lambda_x": _encode_matrix(s.lambda_x),
-            "lambda_y": _encode_matrix(s.lambda_y),
-            "delta_x": _encode_matrix(s.delta_x),
-            "delta_y": _encode_matrix(s.delta_y),
-            "l": _encode_matrix(s.l),
-            "m": _encode_matrix(s.m),
-            "alpha1": float(s.alpha1),
-            "alpha2": float(s.alpha2),
-            "iterations": int(s.iteration),
-            "converged": bool(model.converged),
-            "residual_trace": [[int(i), float(r)] for i, r in model.residual_trace],
-            "config": {
-                "k": int(model.config.k),
-                "lambda1": model.config.lambda1,
-                "lambda2": model.config.lambda2,
-                "alpha1_0": float(model.config.alpha1_0),
-                "alpha2_0": float(model.config.alpha2_0),
-                "rho": float(model.config.rho),
-                "alpha_max": float(model.config.alpha_max),
-                "tol": model.config.tol,
-                "max_iter": int(model.config.max_iter),
-                "center": model.config.center,
-            },
-            "x_means": np.asarray(model.x_means, dtype=np.float64).tolist(),
-            "y_means": np.asarray(model.y_means, dtype=np.float64).tolist(),
-        }
     if isinstance(model, LinearModel):
         return {
             "format": MODEL_FORMAT,
@@ -190,6 +155,9 @@ def model_from_dict(doc: dict):
     """Inverse of ``model_to_dict``."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError("not a model document (missing or wrong 'format')")
+    version = doc.get("version", MODEL_VERSION)
+    if isinstance(version, bool) or version != MODEL_VERSION:
+        raise ParseError(f"field 'version' is {version!r}; this reader reads version {MODEL_VERSION}")
     try:
         return _decode_model(doc)
     except KeyError as exc:
@@ -201,17 +169,9 @@ def model_from_dict(doc: dict):
 # Axes of every array field, one letter per axis: fields sharing a letter
 # must agree in that dimension.
 _AXES = {
-    "rpls": {"q": "nk", "lambda_x": "pk", "lambda_y": "rk", "delta_x": "np",
-             "delta_y": "nr", "l": "np", "m": "nr", "x_means": "p", "y_means": "r"},
     "linear": {"theta": "pr", "x_means": "p", "y_means": "r"},
     "projection": {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"},
 }
-
-
-def _finite(field: str, v):
-    if not np.isfinite(v).all():
-        raise ValueError(f"field {field!r} has a non-finite entry")
-    return v
 
 
 def _decode_arrays(doc: dict, kind: str) -> dict:
@@ -223,7 +183,9 @@ def _decode_arrays(doc: dict, kind: str) -> dict:
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(axes, a.shape))
         if a.ndim != len(axes) or a.shape != expected:
             raise ValueError(f"field {field!r} has shape {a.shape}, which does not fit the other fields")
-        arrays[field] = _finite(field, a)
+        if not np.isfinite(a).all():
+            raise ValueError(f"field {field!r} has a non-finite entry")
+        arrays[field] = a
     return arrays
 
 
@@ -239,27 +201,11 @@ def _decode_model(doc: dict):
     if kind not in _AXES:
         raise ValueError(f"unknown model kind {kind!r}")
     arrays = _decode_arrays(doc, kind)
-    if kind == "rpls":
-        x_means, y_means = arrays.pop("x_means"), arrays.pop("y_means")
-        state = RplsState(
-            **arrays,
-            alpha1=_finite("alpha1", float(doc["alpha1"])),
-            alpha2=_finite("alpha2", float(doc["alpha2"])),
-            iteration=int(doc["iterations"]),
-        )
-        return RplsModel(
-            state=state,
-            config=RplsConfig(**doc["config"]),
-            converged=bool(doc["converged"]),
-            residual_trace=tuple((int(i), float(r)) for i, r in doc["residual_trace"]),
-            x_means=x_means,
-            y_means=y_means,
-        )
     if kind == "linear":
         return LinearModel(
             **arrays,
             method_tag=doc["method_tag"],
-            n_components=int(doc["n_components"]),
+            n_components=doc["n_components"],
             notes=_notes(doc),
         )
     return ProjectionRegressor(**arrays, source_tag=doc["source_tag"], notes=_notes(doc))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import RANK_RCOND, PlsFactors, _centered_product
-from .errors import InvalidInputError
+from .errors import ConfigError, InvalidInputError
 from .linalg import svd
 from .rpls import RplsModel
 
@@ -60,6 +60,8 @@ class ProjectionRegressor:
     w: np.ndarray = field(init=False, repr=False)  # p x k
 
     def __post_init__(self):
+        if self.source_tag not in ("RPLS", "PLS"):
+            raise ConfigError(f"source_tag must be RPLS or PLS, got {self.source_tag!r}")
         if not (np.isfinite(self.lambda_x).all() and np.isfinite(self.lambda_y).all()):
             raise InvalidInputError("projection loadings contain non-finite entries")
         u, s, vt = np.linalg.svd(self.lambda_x, full_matrices=False)
@@ -73,24 +75,24 @@ class ProjectionRegressor:
         object.__setattr__(self, "notes", notes)
 
 
-def from_rpls(model: RplsModel, stability_threshold: float | None = STABILITY_THRESHOLD) -> ProjectionRegressor:
+def from_rpls(model: RplsModel) -> ProjectionRegressor:
     """Build a projection regressor from a fitted robust decomposition.
 
     Latent directions along which the fitted sparse-error block has more
-    leverage than ``stability_threshold`` times the direction's loading
+    leverage than ``STABILITY_THRESHOLD`` times the direction's loading
     gain are removed from both loadings before prediction: the predictors
     carry too little signal there for the projected score to be
     trustworthy, while the response loading may be large (this is the
     signature of a direction captured by response corruption rather than
-    shared structure). Pass None to disable the screen.
+    shared structure).
     """
     lambda_x = np.array(model.state.lambda_x, dtype=np.float64)
     lambda_y = np.array(model.state.lambda_y, dtype=np.float64)
     notes = ()
-    if stability_threshold is not None and lambda_x.any():
+    if lambda_x.any():
         f = svd(lambda_x)
         leverage = np.linalg.norm(model.state.delta_x @ f.u, axis=0)
-        unstable = leverage > stability_threshold * np.maximum(f.s, 1e-300)
+        unstable = leverage > STABILITY_THRESHOLD * np.maximum(f.s, 1e-300)
         if unstable.any():
             keep = ~unstable
             lambda_x = (f.u[:, keep] * f.s[keep]) @ f.v[:, keep].T

@@ -22,8 +22,8 @@ from robustpls.datagen import (
     rng_from_seed,
 )
 from robustpls.evaluate import METHODS, nmse, run_experiment
-from robustpls.io import DatasetFile, load_csv, load_model, write_csv
-from robustpls.rpls import RplsConfig
+from robustpls.io import DatasetFile, load_csv, load_model, load_model_schema, write_csv
+from robustpls.rpls import RplsConfig, fit
 
 
 def run_cli(*args):
@@ -132,15 +132,34 @@ class TestFitPredict:
         tag = METHODS[method].tag
         expected = run_experiment(x, y, (train, test), [tag], config=RplsConfig(k=3)).results[tag].predictions
         assert preds.tobytes() == expected.tobytes()
+        # model.json holds a predictor, the compiled regressor for rpls.
+        doc = json.loads((fit_dir / "model.json").read_text())
+        assert doc["kind"] == ("projection" if method in ("rpls", "pls-proj") else "linear")
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, load_model_schema())
 
     def test_rpls_fit_writes_trace(self, dataset, tmp_path):
         fit_dir = tmp_path / "fit"
         run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"),
                 "--y", str(dataset / "y.csv"), "--k", "3", "--out-dir", str(fit_dir))
         trace = load_csv(DatasetFile(str(fit_dir / "residual_trace.csv"), has_header=True))
-        model = load_model(fit_dir / "model.json")
-        assert trace.shape[0] == model.state.iteration
+        model = fit(load_csv(dataset / "x.csv"), load_csv(dataset / "y.csv"), RplsConfig(k=3))
         assert model.converged
+        assert trace.tobytes() == np.array(model.residual_trace, dtype=np.float64).tobytes()
+
+    def test_rpls_fit_records_screen_note(self, tmp_path):
+        # Low-tail response corruption captures a latent direction the
+        # predictors cannot support; the saved regressor notes its removal.
+        x, y, _ = generate(SynthSpec(seed=1007))
+        train = rng_from_seed(2007).permutation(150)[:120]
+        y_bad, _ = inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL))
+        write_csv(tmp_path / "x.csv", x[train])
+        write_csv(tmp_path / "y.csv", y_bad)
+        fit_dir = tmp_path / "fit"
+        assert run_cli("fit", "--method", "rpls", "--x", str(tmp_path / "x.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k", "5", "--out-dir", str(fit_dir)) == 0
+        doc = json.loads((fit_dir / "model.json").read_text())
+        assert "removed 1 unstable latent direction(s)" in doc["notes"]
 
     def test_config_file_and_flag_precedence(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -149,9 +168,10 @@ class TestFitPredict:
         run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"),
                 "--y", str(dataset / "y.csv"), "--config", str(cfg),
                 "--max-iter", "9", "--out-dir", str(fit_dir))
-        model = load_model(fit_dir / "model.json")
-        assert model.config.k == 2          # from config file
-        assert model.config.max_iter == 9   # flag overrides file
+        assert load_model(fit_dir / "model.json").lambda_x.shape == (12, 2)  # k from config file
+        # The flag overrides the file; unstopped, this fit takes 103 iterations.
+        trace = load_csv(DatasetFile(str(fit_dir / "residual_trace.csv"), has_header=True))
+        assert trace.shape[0] == 9
 
     @pytest.mark.parametrize("text", [
         '[["k", 3]]', "5", "null", '{"k": null}', '{"alpha0": "x"}', '{"max_iter": 2.5}',
@@ -353,8 +373,9 @@ class TestCliErrors:
                        "--y", str(data / "y.csv"), "--k", "2", "--max-iter", "2",
                        "--out-dir", str(fit_dir))
         assert code == 0
-        model = load_model(fit_dir / "model.json")
-        assert not model.converged
+        assert capsys.readouterr().err.splitlines() == ["warning: not converged within 2 iterations"]
+        trace = load_csv(DatasetFile(str(fit_dir / "residual_trace.csv"), has_header=True))
+        assert trace.shape[0] == 2
 
     def test_tall_skinny_spectra_shape_pipeline(self, tmp_path):
         # Same shape regime as a near-infrared benchmark: 60 samples, 401

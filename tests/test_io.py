@@ -23,6 +23,26 @@ from robustpls.projection import from_pls, from_rpls, predict_projection
 from robustpls.rpls import RplsConfig, fit
 
 
+def linear_doc(**fields):
+    """A valid 3x2 linear model document, with ``fields`` replaced."""
+    doc = {"format": "robustpls-model", "version": 1, "kind": "linear",
+           "theta": {"rows": 3, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+           "x_means": [0.0, 0.0, 0.0], "y_means": [0.0, 0.0], "method_tag": "MLR",
+           "n_components": 0}
+    doc.update(fields)
+    return doc
+
+
+def projection_doc(**fields):
+    """A valid projection document (p=3, r=1, k=2), with ``fields`` replaced."""
+    doc = {"format": "robustpls-model", "version": 1, "kind": "projection",
+           "lambda_x": {"rows": 3, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]},
+           "lambda_y": {"rows": 1, "cols": 2, "data": [1.0, 2.0]},
+           "x_means": [0.0, 0.0, 0.0], "y_means": [0.0], "source_tag": "RPLS"}
+    doc.update(fields)
+    return doc
+
+
 class TestCsv:
     def test_basic_parse(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -77,20 +97,6 @@ class TestCsv:
 
 
 class TestModelJson:
-    def test_rpls_round_trip(self, tmp_path):
-        x, y, _ = generate(SynthSpec(n=30, p=8, r=2, k_true=3, n_collinear=2, seed=31))
-        model = fit(x, y, RplsConfig(k=3))
-        path = tmp_path / "model.json"
-        save_model(path, model)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.state.q, model.state.q)
-        np.testing.assert_array_equal(loaded.state.lambda_x, model.state.lambda_x)
-        np.testing.assert_array_equal(loaded.state.delta_y, model.state.delta_y)
-        np.testing.assert_array_equal(loaded.x_means, model.x_means)
-        assert loaded.converged == model.converged
-        assert loaded.residual_trace == model.residual_trace
-        assert loaded.config == model.config
-
     def test_compact_document(self, tmp_path, rng):
         model = fit_mlr(rng.standard_normal((20, 5)), rng.standard_normal((20, 2)))
         path = tmp_path / "model.json"
@@ -126,18 +132,23 @@ class TestModelJson:
         model = fit(x, y, RplsConfig(k=3))
         reg = from_rpls(model)
         path = tmp_path / "model.json"
-        save_model(path, model)
-        loaded_reg = from_rpls(load_model(path))
+        save_model(path, reg)
+        loaded = load_model(path)
+        assert loaded.source_tag == "RPLS"
+        np.testing.assert_array_equal(loaded.w, reg.w)
         np.testing.assert_array_equal(
-            predict_projection(loaded_reg, x), predict_projection(reg, x)
+            predict_projection(loaded, x), predict_projection(reg, x)
         )
+        # The solver state has no document kind: a library caller saves from_rpls(model).
+        with pytest.raises(TypeError, match="RplsModel"):
+            model_to_dict(model)
 
     def test_documents_validate_against_schema(self, tmp_path, rng):
         jsonschema = pytest.importorskip("jsonschema")
         schema = load_model_schema()
         x, y, _ = generate(SynthSpec(n=20, p=6, r=2, k_true=2, n_collinear=1, seed=33))
         docs = [
-            model_to_dict(fit(x, y, RplsConfig(k=2))),
+            model_to_dict(from_rpls(fit(x, y, RplsConfig(k=2)))),
             model_to_dict(fit_mlr(x, y)),
         ]
         factors, linear = fit_pls_nipals(x, y, k=2)
@@ -156,25 +167,29 @@ class TestModelJson:
             load_model(p)
         with pytest.raises(ParseError):
             model_from_dict({"format": "robustpls-model", "version": 1, "kind": "mystery"})
+        # The solver-state kind that earlier releases wrote is no longer read.
+        with pytest.raises(ParseError, match="unknown model kind 'rpls'"):
+            model_from_dict({"format": "robustpls-model", "version": 1, "kind": "rpls"})
+        # A document without a version loads as the current one.
+        assert model_from_dict({k: v for k, v in linear_doc().items() if k != "version"}).method_tag == "MLR"
 
-    @pytest.mark.parametrize("doc", [
-        {"format": "robustpls-model", "kind": "linear"},
-        {"format": "robustpls-model", "kind": "linear",
-         "theta": {"rows": 2, "cols": 3, "data": [1.0, 2.0, 3.0, 4.0, 5.0]},
-         "x_means": [0.0, 0.0], "y_means": [0.0, 0.0, 0.0], "method_tag": "MLR", "n_components": 0},
-    ], ids=["missing-field", "data-length"])
-    def test_malformed_document_names_field(self, doc):
-        with pytest.raises(ParseError, match="'theta'"):
+    @pytest.mark.parametrize("doc, match", [
+        ({"format": "robustpls-model", "kind": "linear"}, "'theta'"),
+        ({"format": "robustpls-model", "kind": "linear",
+          "theta": {"rows": 2, "cols": 3, "data": [1.0, 2.0, 3.0, 4.0, 5.0]},
+          "x_means": [0.0, 0.0], "y_means": [0.0, 0.0, 0.0], "method_tag": "MLR", "n_components": 0}, "'theta'"),
+        # The rest are well formed JSON that the shipped schema rejects.
+        (linear_doc(version=7), "'version'"),
+        (linear_doc(version=True), "'version'"),
+        (linear_doc(n_components=2.5), "n_components"),
+        (linear_doc(n_components=True), "n_components"),
+        (linear_doc(n_components=-1), "n_components"),
+        (projection_doc(source_tag="OLS"), "source_tag"),
+    ], ids=["missing-field", "data-length", "version-7", "version-bool", "n_components-fraction",
+            "n_components-bool", "n_components-negative", "source_tag-unknown"])
+    def test_malformed_document_names_field(self, doc, match):
+        with pytest.raises(ParseError, match=match):
             model_from_dict(doc)
-
-    @staticmethod
-    def _linear_doc(**fields):
-        doc = {"format": "robustpls-model", "version": 1, "kind": "linear",
-               "theta": {"rows": 3, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
-               "x_means": [0.0, 0.0, 0.0], "y_means": [0.0, 0.0], "method_tag": "MLR",
-               "n_components": 0}
-        doc.update(fields)
-        return doc
 
     @pytest.mark.parametrize("field, value", [
         ("x_means", [0.0, 0.0]),
@@ -183,15 +198,17 @@ class TestModelJson:
         ("y_means", 0.0),
     ], ids=["x_means-length", "y_means-length", "x_means-2d", "y_means-scalar"])
     def test_shapes_cross_checked(self, field, value):
-        assert model_from_dict(self._linear_doc()).theta.shape == (3, 2)
+        assert model_from_dict(linear_doc()).theta.shape == (3, 2)
         with pytest.raises(ParseError, match=f"'{field}'"):
-            model_from_dict(self._linear_doc(**{field: value}))
+            model_from_dict(linear_doc(**{field: value}))
 
     def test_rpls_shapes_cross_checked(self, rng):
+        # The saved regressor of a robust fit: lambda_y must have lambda_x's k columns.
         x = rng.standard_normal((12, 5))
-        doc = model_to_dict(fit(x, x[:, :2], RplsConfig(k=2, max_iter=3)))
-        doc["delta_y"] = {"rows": 11, "cols": 2, "data": [0.0] * 22}
-        with pytest.raises(ParseError, match="'delta_y'"):
+        doc = model_to_dict(from_rpls(fit(x, x[:, :2], RplsConfig(k=2, max_iter=3))))
+        assert model_from_dict(doc).lambda_x.shape == (5, 2)
+        doc["lambda_y"] = {"rows": 2, "cols": 3, "data": [0.0] * 6}
+        with pytest.raises(ParseError, match="'lambda_y'"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("kind, field, value", [
@@ -199,9 +216,9 @@ class TestModelJson:
         ("linear", "x_means", "inf"),
         ("projection", "lambda_y", "-inf"),
         ("projection", "y_means", "nan"),
-        ("rpls", "delta_x", "nan"),
-        ("rpls", "alpha1", "inf"),
-        ("rpls", "alpha2", "nan"),
+        ("projection", "lambda_x", "nan"),
+        ("projection", "lambda_x", "inf"),
+        ("projection", "x_means", "nan"),
     ])
     def test_non_finite_document_rejected(self, tmp_path, rng, kind, field, value):
         # Loading it would let predict write all-nan rows.
@@ -209,18 +226,14 @@ class TestModelJson:
         y = x[:, :2] + 0.1 * rng.standard_normal((12, 2))
         if kind == "linear":
             model = fit_mlr(x, y)
-        elif kind == "projection":
+        else:
             factors, linear = fit_pls_nipals(x, y, k=2)
             model = from_pls(factors, linear.x_means, linear.y_means)
-        else:
-            model = fit(x, y, RplsConfig(k=2, max_iter=3))
         doc = model_to_dict(model)
         if isinstance(doc[field], dict):
             doc[field]["data"][0] = float(value)
-        elif isinstance(doc[field], list):
-            doc[field][0] = float(value)
         else:
-            doc[field] = float(value)
+            doc[field][0] = float(value)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))  # as the NaN / Infinity tokens Python's json reads
         with pytest.raises(ParseError, match=f"'{field}' has a non-finite entry"):
@@ -229,6 +242,6 @@ class TestModelJson:
     @pytest.mark.parametrize("notes", ["abc", [1, 2], {"a": "b"}], ids=["string", "numbers", "object"])
     def test_notes_must_be_list_of_strings(self, notes):
         # A string used to load as a tuple of its characters.
-        assert model_from_dict(self._linear_doc(notes=["ok"])).notes == ("ok",)
+        assert model_from_dict(linear_doc(notes=["ok"])).notes == ("ok",)
         with pytest.raises(ParseError, match="'notes'"):
-            model_from_dict(self._linear_doc(notes=notes))
+            model_from_dict(linear_doc(notes=notes))

@@ -153,7 +153,10 @@ class TestFromRpls:
         y_bad, _ = inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL))
         model = fit(x[train], y_bad, RplsConfig(k=5))
         screened = from_rpls(model)
-        raw = from_rpls(model, stability_threshold=None)
+        raw = ProjectionRegressor(
+            lambda_x=model.state.lambda_x, lambda_y=model.state.lambda_y,
+            x_means=model.x_means, y_means=model.y_means, source_tag="RPLS",
+        )
         assert any("unstable" in note for note in screened.notes)
         assert not raw.notes
         # The screened regressor predicts sanely; the raw one blows up.
