@@ -1,8 +1,8 @@
 """Classical regression baselines: MLR, PCR, and iterative PLS.
 
-All fitters center the data (unless ``center=False``) and produce a
-common ``LinearModel`` whose coefficients act on raw (uncentered) inputs
-through ``predict``.
+Every fitter removes the column means of x and y, fits the centered data,
+and returns a ``LinearModel`` whose coefficients act on raw (uncentered)
+inputs through ``predict``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, check_fields
-from .linalg import as_matrix, svd
+from .linalg import _check_k, _matched_rows, as_matrix, svd
 
 __all__ = [
     "LinearModel",
@@ -58,23 +58,19 @@ class PlsFactors:
     y_loadings: np.ndarray  # r x k
 
 
-def _center(x, y, center):
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    x_means = x.mean(axis=0) if center else np.zeros(x.shape[1])
-    y_means = y.mean(axis=0) if center else np.zeros(y.shape[1])
+def _center(x, y):
+    x, y = _matched_rows(x, y)
+    x_means, y_means = x.mean(axis=0), y.mean(axis=0)
     return x - x_means, y - y_means, x_means, y_means
 
 
-def fit_mlr(x, y, center: bool = True) -> LinearModel:
-    """Ordinary least squares on (centered) data.
+def fit_mlr(x, y) -> LinearModel:
+    """Ordinary least squares on centered data.
 
     Falls back to the minimum-norm pseudoinverse solution when the
     predictor matrix is rank deficient, recording a note on the model.
     """
-    xc, yc, x_means, y_means = _center(x, y, center)
+    xc, yc, x_means, y_means = _center(x, y)
     theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
     notes = ()
     if rank < xc.shape[1]:
@@ -89,12 +85,10 @@ def fit_mlr(x, y, center: bool = True) -> LinearModel:
     )
 
 
-def fit_pcr(x, y, k: int, center: bool = True) -> LinearModel:
+def fit_pcr(x, y, k: int) -> LinearModel:
     """Principal component regression with the top-k score directions."""
-    xc, yc, x_means, y_means = _center(x, y, center)
-    n, p = xc.shape
-    if not 1 <= k <= min(n, p):
-        raise ConfigError(f"k must be in [1, {min(n, p)}], got {k}")
+    xc, yc, x_means, y_means = _center(x, y)
+    _check_k(k, xc.shape)
     f = svd(xc)
     s = f.s[:k]
     keep = s > RANK_RCOND * (f.s[0] if f.s[0] > 0 else 1.0)
@@ -115,7 +109,7 @@ def fit_pcr(x, y, k: int, center: bool = True) -> LinearModel:
     )
 
 
-def fit_pls_nipals(x, y, k: int, center: bool = True):
+def fit_pls_nipals(x, y, k: int):
     """Iterative PLS: one covariance-maximizing component per deflation round.
 
     Each round takes the dominant singular direction of the residual
@@ -129,11 +123,10 @@ def fit_pls_nipals(x, y, k: int, center: bool = True):
     -------
     (PlsFactors, LinearModel)
     """
-    xc, yc, x_means, y_means = _center(x, y, center)
+    xc, yc, x_means, y_means = _center(x, y)
     n, p = xc.shape
     r = yc.shape[1]
-    if not 1 <= k <= min(n, p):
-        raise ConfigError(f"k must be in [1, {min(n, p)}], got {k}")
+    _check_k(k, xc.shape)
 
     x_res = xc.copy()
     y_res = yc.copy()

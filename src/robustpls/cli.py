@@ -9,6 +9,7 @@ Every run seeded with --seed is bit-reproducible in its output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -21,8 +22,8 @@ from . import datagen, evaluate, projection, rpls
 from .errors import RplsError
 from .io import DatasetFile, format_float, load_csv, load_model, save_model, write_csv
 
-# Config-file keys and flags: RplsConfig fields, except that alpha0 sets alpha1_0 and alpha2_0.
-HYPER_KEYS = ("k", "lambda1", "lambda2", "rho", "alpha0", "alpha_max", "tol", "max_iter", "center")
+# Config-file keys and hyperparameter flags: exactly the fields of RplsConfig.
+HYPER_KEYS = tuple(f.name for f in dataclasses.fields(rpls.RplsConfig))
 
 
 def _setup_logging():
@@ -68,21 +69,23 @@ def _rpls_config(args) -> rpls.RplsConfig:
             raise RplsError(f"unknown keys in config file: {sorted(unknown)}")
         h.update(file_cfg)
     h.update({key: getattr(args, key) for key in HYPER_KEYS if getattr(args, key) is not None})
-    if "alpha0" in h:
-        h["alpha1_0"] = h["alpha2_0"] = h.pop("alpha0")
     return rpls.RplsConfig(**h)
 
 
-def _outlier_spec(args):
-    kind = datagen.SPARSE_RANDOM if args.outliers == "sparse" else datagen.LOW_TAIL
-    return datagen.OutlierSpec(
-        kind=kind,
+def _corrupt(args, x, y):
+    """Corrupted copies of x and y under the --outliers regime, and its CorruptionMask."""
+    spec = datagen.OutlierSpec(
+        kind=datagen.SPARSE_RANDOM if args.outliers == "sparse" else datagen.LOW_TAIL,
         fraction=args.outlier_fraction,
         magnitude=args.outlier_magnitude,
         tail_fraction=args.tail_fraction,
         tail_multiplier=args.tail_multiplier,
         seed=args.seed,
     )
+    if spec.kind == datagen.SPARSE_RANDOM:
+        return datagen.inject_sparse(x, y, spec)
+    y, mask = datagen.inject_low_tail(y, spec)
+    return x, y, mask
 
 
 def _load_xy(args):
@@ -100,14 +103,11 @@ def cmd_synth(args) -> int:
     )
     x, y, truth = datagen.generate(spec)
     if args.outliers != "none":
-        ospec = _outlier_spec(args)
         write_csv(out / "x_clean.csv", x)
         write_csv(out / "y_clean.csv", y)
-        if args.outliers == "sparse":
-            x, y, mask = datagen.inject_sparse(x, y, ospec)
+        x, y, mask = _corrupt(args, x, y)
+        if mask.x is not None:
             write_csv(out / "mask_x.csv", mask.x.astype(float))
-        else:
-            y, mask = datagen.inject_low_tail(y, ospec)
         write_csv(out / "mask_y.csv", mask.y.astype(float))
     write_csv(out / "x.csv", x)
     write_csv(out / "y.csv", y)
@@ -209,9 +209,14 @@ def cmd_bench(args) -> int:
     if not 0.0 < args.split < 1.0:
         raise RplsError(f"--split must be in (0, 1), got {args.split}")
     method_keys = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not method_keys:
+        raise RplsError(f"--methods names no method; valid: {sorted(evaluate.METHODS)}")
     bad = [m for m in method_keys if m not in evaluate.METHODS]
     if bad:
         raise RplsError(f"unknown methods: {bad}; valid: {sorted(evaluate.METHODS)}")
+    repeated = sorted({m for m in method_keys if method_keys.count(m) > 1})
+    if repeated:
+        raise RplsError(f"--methods names {repeated} more than once")
     tags = [evaluate.METHODS[m].tag for m in method_keys]
 
     perm = datagen.rng_from_seed(args.seed).permutation(n)
@@ -221,15 +226,9 @@ def cmd_bench(args) -> int:
     train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
     if args.outliers != "none":
-        ospec = _outlier_spec(args)
-        if args.outliers == "sparse":
-            x_tr, y_tr, _ = datagen.inject_sparse(x[train], y[train], ospec)
-            x = x.copy()
-            x[train] = x_tr
-        else:
-            y_tr, _ = datagen.inject_low_tail(y[train], ospec)
-        y = y.copy()
-        y[train] = y_tr
+        x_tr, y_tr, _ = _corrupt(args, x[train], y[train])
+        x, y = x.copy(), y.copy()
+        x[train], y[train] = x_tr, y_tr
 
     cfg = _rpls_config(args)
     report = evaluate.run_experiment(x, y, (train, test), tags, cfg, dataset_tag=Path(args.x).name)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import baselines, projection, rpls
 from .errors import ConfigError, DegenerateEllipseError, DimensionError, InvalidInputError, MetricError
-from .linalg import as_matrix, svd
+from .linalg import _matched_rows, as_matrix, svd
 
 __all__ = [
     "METHODS",
@@ -195,10 +195,7 @@ def run_experiment(
     A method that raises is recorded with its error message; the other
     methods still run.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+    x, y = _matched_rows(x, y)
     train, test = _check_split(x.shape[0], *split)
     for tag in methods:
         if tag not in _BY_TAG:

@@ -42,11 +42,10 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class DatasetFile:
-    """A delimited numeric text file holding one matrix."""
+    """A comma-separated numeric text file holding one matrix, with an optional header line."""
 
     path: str
     has_header: bool = False
-    delimiter: str = ","
 
 
 def format_float(v: float) -> str:
@@ -55,19 +54,19 @@ def format_float(v: float) -> str:
 
 
 def load_csv(file) -> np.ndarray:
-    """Read a matrix from a delimited file.
+    """Read a matrix from a comma-separated file.
 
-    Accepts a ``DatasetFile`` or a bare path (no header, comma
-    delimiter). Every row must have the same number of cells and every
-    cell must parse as a finite number; violations raise ``ParseError``
-    with the offending line (and column) number.
+    Accepts a ``DatasetFile`` or a bare path (no header). Every row must
+    have the same number of cells and every cell must parse as a finite
+    number; violations raise ``ParseError`` with the offending line (and
+    column) number.
     """
     if not isinstance(file, DatasetFile):
         file = DatasetFile(path=str(file))
     rows = []
     width = None
     with open(file.path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=file.delimiter)
+        reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             if file.has_header and lineno == 1:
                 continue
@@ -98,11 +97,11 @@ def load_csv(file) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def write_csv(path, matrix, header=None, delimiter: str = ",") -> None:
-    """Write a matrix with lossless float formatting."""
+def write_csv(path, matrix, header=None) -> None:
+    """Write a matrix as comma-separated values with lossless float formatting."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         for row in m:
@@ -114,12 +113,23 @@ def _encode_matrix(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.ravel().tolist()}
 
 
+def _numbers(values, key: str) -> np.ndarray:
+    """A JSON list of numbers as float64. A string, boolean or nested list fails, naming ``key``."""
+    # One pass over the parsed list: json reads every number as an int or a float.
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"field {key!r} must be a list of numbers")
+    return np.array(values, dtype=np.float64)
+
+
 def _decode_matrix(doc: dict, key: str) -> np.ndarray:
     d = doc[key]
-    m = np.array(d["data"], dtype=np.float64)
-    if m.size != d["rows"] * d["cols"]:
-        raise ValueError(f"field {key!r} has {m.size} values for a {d['rows']}x{d['cols']} matrix")
-    return m.reshape(d["rows"], d["cols"])
+    rows, cols = d["rows"], d["cols"]
+    if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
+        raise ValueError(f"field {key!r} must have nonnegative integer rows and cols, got {rows!r}x{cols!r}")
+    m = _numbers(d["data"], key)
+    if m.size != rows * cols:
+        raise ValueError(f"field {key!r} has {m.size} values for a {rows}x{cols} matrix")
+    return m.reshape(rows, cols)
 
 
 def model_to_dict(model) -> dict:
@@ -179,9 +189,9 @@ def _decode_arrays(doc: dict, kind: str) -> dict:
     dims = {}
     arrays = {}
     for field, axes in _AXES[kind].items():
-        a = _decode_matrix(doc, field) if len(axes) == 2 else np.array(doc[field], dtype=np.float64)
+        a = _decode_matrix(doc, field) if len(axes) == 2 else _numbers(doc[field], field)
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(axes, a.shape))
-        if a.ndim != len(axes) or a.shape != expected:
+        if a.shape != expected:
             raise ValueError(f"field {field!r} has shape {a.shape}, which does not fit the other fields")
         if not np.isfinite(a).all():
             raise ValueError(f"field {field!r} has a non-finite entry")

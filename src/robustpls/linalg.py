@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, SolverError
+from .errors import ConfigError, DimensionError, InvalidInputError, SolverError
 
 __all__ = [
     "SvdFactors",
@@ -36,6 +36,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _matched_rows(x, y):
+    """``x`` and ``y`` as checked matrices with the same number of rows."""
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+    return x, y
+
+
+def _check_k(k: int, shape) -> None:
+    """A latent dimension fits an (n, p) predictor matrix when ``1 <= k <= min(n, p)``."""
+    m = min(shape)
+    if not 1 <= k <= m:
+        raise ConfigError(f"k must be in [1, {m}], got {k}")
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD ``u @ diag(s) @ v.T`` with orthonormal u, v columns.
@@ -48,9 +64,6 @@ class SvdFactors:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
 
 
 def svd(a) -> SvdFactors:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, check_fields
-from .linalg import as_matrix, procrustes_orthonormal, singular_value_threshold, soft_threshold
+from .errors import ConfigError, check_fields
+from .linalg import _check_k, _matched_rows, procrustes_orthonormal, singular_value_threshold, soft_threshold
 
 __all__ = [
     "CENTER_MODES",
@@ -63,6 +63,9 @@ class RplsConfig:
     ``lambda = 1/sqrt(max(n, p))`` and
     ``tol = 1e-6 * (||X||_F + ||Y||_F)``.
 
+    ``alpha0`` starts both penalties, ``alpha1`` (X) and ``alpha2`` (Y);
+    each grows by ``rho`` per iteration up to ``alpha_max``.
+
     ``center`` selects the column-location estimate removed before
     fitting: "median" (default, robust to corrupted columns), "mean",
     or "none".
@@ -71,8 +74,7 @@ class RplsConfig:
     k: int = 5
     lambda1: float | None = None
     lambda2: float | None = None
-    alpha1_0: float = 1.0
-    alpha2_0: float = 1.0
+    alpha0: float = 1.0
     rho: float = 1.1
     alpha_max: float = 1e6
     tol: float | None = None
@@ -81,29 +83,28 @@ class RplsConfig:
 
     def __post_init__(self):
         check_fields(
-            self, ("alpha1_0", "alpha2_0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"),
+            self, ("alpha0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"),
             integers=(("k", 1), ("max_iter", 1)),
         )
         for name in ("lambda1", "lambda2", "tol"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive (or None for auto), got {v!r}")
-        for name in ("alpha1_0", "alpha2_0", "alpha_max"):
+        for name in ("alpha0", "alpha_max"):
             v = getattr(self, name)
             if v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v!r}")
         if self.rho < 1:
             raise ConfigError(f"rho must be >= 1, got {self.rho!r}")
-        if self.alpha_max < self.alpha1_0 or self.alpha_max < self.alpha2_0:
-            raise ConfigError("alpha_max must be >= both initial penalties")
+        if self.alpha_max < self.alpha0:
+            raise ConfigError(f"alpha_max must be >= alpha0, got {self.alpha_max!r} < {self.alpha0!r}")
         if self.center not in CENTER_MODES:
             raise ConfigError(f"center must be one of {CENTER_MODES}, got {self.center!r}")
 
     def resolve(self, x: np.ndarray, y: np.ndarray) -> "RplsConfig":
         """Bind auto hyperparameters to the data and check k against its shape."""
+        _check_k(self.k, x.shape)
         n, p = x.shape
-        if self.k > min(n, p):
-            raise ConfigError(f"k={self.k} exceeds min(n, p)={min(n, p)}")
         lam = 1.0 / math.sqrt(max(n, p))
         tol = self.tol
         if tol is None:
@@ -217,8 +218,8 @@ def initial_state(n: int, p: int, r: int, cfg: RplsConfig) -> RplsState:
         delta_y=np.zeros((n, r)),
         l=np.zeros((n, p)),
         m=np.zeros((n, r)),
-        alpha1=cfg.alpha1_0,
-        alpha2=cfg.alpha2_0,
+        alpha1=cfg.alpha0,
+        alpha2=cfg.alpha0,
         iteration=0,
     )
 
@@ -250,11 +251,7 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
         the column offsets removed before fitting. Hitting max_iter is
         not an error; the model is returned with ``converged=False``.
     """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-
+    x, y = _matched_rows(x, y)
     x_means = _column_center(x, config.center)
     y_means = _column_center(y, config.center)
     xc = x - x_means

@@ -11,16 +11,20 @@ from conftest import random_orthonormal
 
 class TestMlr:
     def test_exact_interpolation(self, rng):
+        # y - y_mean = (x - x_mean) @ theta_star, so centering keeps the oracle exact.
         x = rng.standard_normal((30, 6))
         theta_star = rng.standard_normal((6, 2))
         y = x @ theta_star
-        model = fit_mlr(x, y, center=False)
+        model = fit_mlr(x, y)
         np.testing.assert_allclose(model.theta, theta_star, atol=1e-8)
 
     def test_orthonormal_predictors(self, rng):
-        x = random_orthonormal(rng, 20, 5)
+        # Orthonormal columns with zero mean: centering leaves x as it is,
+        # and x.T @ (y - y_mean) = x.T @ y.
+        a = rng.standard_normal((20, 5))
+        x = np.linalg.qr(a - a.mean(axis=0))[0]
         y = rng.standard_normal((20, 3))
-        model = fit_mlr(x, y, center=False)
+        model = fit_mlr(x, y)
         np.testing.assert_allclose(model.theta, x.T @ y, atol=1e-10)
 
     def test_matches_normal_equations_oracle(self, rng):
@@ -90,12 +94,14 @@ class TestPcr:
         assert all(b <= a + 1e-10 for a, b in zip(resids, resids[1:]))
 
     def test_k_out_of_range(self, rng):
+        # PCR and PLS share RplsConfig.resolve's rule and message.
         x = rng.standard_normal((10, 5))
         y = rng.standard_normal((10, 2))
-        with pytest.raises(ConfigError):
-            fit_pcr(x, y, k=0)
-        with pytest.raises(ConfigError):
-            fit_pcr(x, y, k=6)
+        for fitter in (fit_pcr, fit_pls_nipals):
+            with pytest.raises(ConfigError, match=r"k must be in \[1, 5\], got 0"):
+                fitter(x, y, k=0)
+            with pytest.raises(ConfigError, match=r"k must be in \[1, 5\], got 6"):
+                fitter(x, y, k=6)
 
 
 class TestPls:
@@ -108,7 +114,7 @@ class TestPls:
         x = x - x.mean(axis=0)
         x = np.linalg.qr(x)[0]
         y = x[:, [2]] * 3.0
-        factors, model = fit_pls_nipals(x, y, k=1, center=False)
+        factors, model = fit_pls_nipals(x, y, k=1)
         w = factors.weights[:, 0]
         expected = np.zeros(p)
         expected[2] = 1.0

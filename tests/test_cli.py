@@ -1,5 +1,6 @@
 """End-to-end command-line tests."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import robustpls
-from robustpls.cli import main
+from robustpls.cli import HYPER_KEYS, build_parser, main
 from robustpls.datagen import (
     LOW_TAIL,
     SPARSE_RANDOM,
@@ -173,12 +174,45 @@ class TestFitPredict:
         trace = load_csv(DatasetFile(str(fit_dir / "residual_trace.csv"), has_header=True))
         assert trace.shape[0] == 9
 
-    @pytest.mark.parametrize("text", [
-        '[["k", 3]]', "5", "null", '{"k": null}', '{"alpha0": "x"}', '{"max_iter": 2.5}',
-        '{"k": true}', '{"max_iter": true}',
+    def test_hyper_keys_are_config_fields(self):
+        # Every RplsConfig field is a config-file key and a flag of fit and bench.
+        assert HYPER_KEYS == tuple(f.name for f in dataclasses.fields(RplsConfig))
+        assert set(HYPER_KEYS) == {"k", "lambda1", "lambda2", "alpha0", "rho", "alpha_max",
+                                   "tol", "max_iter", "center"}
+        for argv in (["fit", "--method", "rpls"], ["bench"]):
+            args = build_parser().parse_args([*argv, "--x", "x", "--y", "y", "--out-dir", "o"])
+            assert all(hasattr(args, key) for key in HYPER_KEYS), argv[0]
+
+    @pytest.mark.parametrize("flags, file_cfg, alpha0", [
+        (["--alpha0", "1.5"], None, 1.5),
+        ([], {"alpha0": 2.0}, 2.0),
+        (["--alpha0", "1.5"], {"alpha0": 2.0}, 1.5),
+    ], ids=["flag", "file", "flag-over-file"])
+    def test_alpha0_reaches_solver(self, dataset, tmp_path, flags, file_cfg, alpha0):
+        # The trace of `rpls fit` is library fit's, bit for bit, with both penalties starting at alpha0.
+        if file_cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+            flags = flags + ["--config", str(tmp_path / "cfg.json")]
+        fit_dir = tmp_path / "fit"
+        assert run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"),
+                       "--y", str(dataset / "y.csv"), "--k", "3", "--max-iter", "20", *flags,
+                       "--out-dir", str(fit_dir)) == 0
+        trace = load_csv(DatasetFile(str(fit_dir / "residual_trace.csv"), has_header=True))
+        model = fit(load_csv(dataset / "x.csv"), load_csv(dataset / "y.csv"),
+                    RplsConfig(k=3, max_iter=20, alpha0=alpha0))
+        assert trace.tobytes() == np.array(model.residual_trace, dtype=np.float64).tobytes()
+        other = fit(load_csv(dataset / "x.csv"), load_csv(dataset / "y.csv"),
+                    RplsConfig(k=3, max_iter=20, alpha0=alpha0 + 0.25))
+        assert trace.tobytes() != np.array(other.residual_trace, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("text, fragment", [
+        ('[["k", 3]]', "JSON object"), ("5", "JSON object"), ("null", "JSON object"),
+        ('{"k": null}', "k must"), ('{"alpha0": "x"}', "alpha0 must"), ('{"max_iter": 2.5}', "max_iter must"),
+        ('{"k": true}', "k must"), ('{"max_iter": true}', "max_iter must"),
+        ('{"alpha1_0": 2.0}', "unknown keys in config file: ['alpha1_0']"),
     ], ids=["list", "number", "null", "k-null", "alpha0-string", "max_iter-fraction",
-            "k-bool", "max_iter-bool"])
-    def test_bad_config_file_rejected(self, dataset, tmp_path, capsys, text):
+            "k-bool", "max_iter-bool", "alpha1_0-unknown"])
+    def test_bad_config_file_rejected(self, dataset, tmp_path, capsys, text, fragment):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code = run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"),
@@ -186,7 +220,7 @@ class TestFitPredict:
                        "--out-dir", str(tmp_path / "fit"))
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
 
     def test_predict_malformed_model_rejected(self, dataset, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -348,6 +382,21 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize("methods", ["", " , ", "rpls,rpls", "mlr, rpls,mlr"],
+                             ids=["empty", "blank", "repeated", "repeated-spaced"])
+    def test_bench_methods_named_once(self, tmp_path, capsys, methods):
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "8", "--r", "2", "--k", "2",
+                "--n-collinear", "2", "--out-dir", str(data))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--methods", methods, "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--methods" in err[0]
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "bench"])
     def test_negative_seed_rejected(self, tmp_path, capsys, command):

@@ -231,7 +231,7 @@ class TestCrossModuleSanity:
         x, y, _ = generate(SynthSpec(seed=16, noise_sigma=0.0))
         cfg = RplsConfig(
             k=5, lambda1=1e-12, lambda2=1e-12,
-            alpha1_0=1e-9, alpha2_0=1e-9, rho=1.0, alpha_max=1.0,
+            alpha0=1e-9, rho=1.0, alpha_max=1.0,
             tol=1e-300, max_iter=60, center="none",
         )
         model = fit(x, y, cfg)

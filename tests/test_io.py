@@ -33,6 +33,13 @@ def linear_doc(**fields):
     return doc
 
 
+def column_doc(theta=(), **fields):
+    """A valid linear document with a 3x1 theta; ``theta`` replaces its matrix keys, ``fields`` the rest."""
+    doc = linear_doc(theta={"rows": 3, "cols": 1, "data": [1.0, 2.0, 3.0], **dict(theta)}, y_means=[0.0])
+    doc.update(fields)
+    return doc
+
+
 def projection_doc(**fields):
     """A valid projection document (p=3, r=1, k=2), with ``fields`` replaced."""
     doc = {"format": "robustpls-model", "version": 1, "kind": "projection",
@@ -54,12 +61,6 @@ class TestCsv:
         f.write_text("a,b,c\n1.5,2.5,3.5\n")
         m = load_csv(DatasetFile(str(f), has_header=True))
         np.testing.assert_array_equal(m, [[1.5, 2.5, 3.5]])
-
-    def test_alternate_delimiter(self, tmp_path):
-        f = tmp_path / "m.csv"
-        f.write_text("1;2\n3;4\n")
-        m = load_csv(DatasetFile(str(f), delimiter=";"))
-        np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
 
     def test_round_trip_lossless(self, tmp_path, rng):
         m = rng.standard_normal((7, 4)) * np.pi * 1e-3
@@ -185,11 +186,28 @@ class TestModelJson:
         (linear_doc(n_components=True), "n_components"),
         (linear_doc(n_components=-1), "n_components"),
         (projection_doc(source_tag="OLS"), "source_tag"),
+        (column_doc(x_means=["0.5", "1e3", "0"]), "'x_means'"),
+        (column_doc({"data": ["1", 2, 3]}), "'theta'"),
+        (column_doc({"data": [True, 2, 3]}), "'theta'"),
+        (column_doc({"data": [[1], [2], [3]]}), "'theta'"),
+        (column_doc(y_means=[False]), "'y_means'"),
+        (column_doc({"rows": "3"}), "'theta' must have nonnegative integer rows"),
+        (column_doc({"rows": True}), "'theta' must have nonnegative integer rows"),
+        (column_doc({"rows": -3, "cols": -1}), "'theta' must have nonnegative integer rows"),
     ], ids=["missing-field", "data-length", "version-7", "version-bool", "n_components-fraction",
-            "n_components-bool", "n_components-negative", "source_tag-unknown"])
+            "n_components-bool", "n_components-negative", "source_tag-unknown", "x_means-strings",
+            "data-string", "data-bool", "data-nested", "y_means-bool", "rows-string", "rows-bool",
+            "rows-negative"])
     def test_malformed_document_names_field(self, doc, match):
         with pytest.raises(ParseError, match=match):
             model_from_dict(doc)
+
+    def test_column_doc_is_valid(self):
+        # The malformed cases above each break one field of this document.
+        model = model_from_dict(column_doc())
+        assert model.theta.shape == (3, 1) and model.y_means.shape == (1,)
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(column_doc(), load_model_schema())
 
     @pytest.mark.parametrize("field, value", [
         ("x_means", [0.0, 0.0]),

@@ -83,13 +83,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RplsConfig(k=3, lambda1=-1.0)
         with pytest.raises(ConfigError):
-            RplsConfig(k=3, alpha1_0=2.0, alpha_max=1.0)
+            RplsConfig(k=3, alpha0=2.0, alpha_max=1.0)
         with pytest.raises(ConfigError):
             RplsConfig(k=3, center="quartile")
         with pytest.raises(ConfigError):
             RplsConfig(k=3, max_iter=0)
 
-    @pytest.mark.parametrize("field", ["k", "max_iter", "rho", "alpha1_0", "lambda1", "tol"])
+    @pytest.mark.parametrize("field", ["k", "max_iter", "rho", "alpha0", "lambda1", "tol"])
     def test_booleans_rejected(self, field):
         # bool is an int, so True would otherwise pass as k=1 or max_iter=1.
         with pytest.raises(ConfigError, match=field):
@@ -105,7 +105,7 @@ class TestConfig:
     def test_resolve_rejects_large_k(self, rng):
         x = rng.standard_normal((10, 6))
         y = rng.standard_normal((10, 2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"k must be in \[1, 6\], got 7"):
             RplsConfig(k=7).resolve(x, y)
 
     def test_explicit_values_win(self, rng):
@@ -210,7 +210,7 @@ class TestUpdateSparse:
     def test_scalar_shrink(self, rng):
         # A residual entry of 5.0 with unit threshold shrinks to 4.0.
         n, p, r, k = 6, 4, 2, 2
-        state = initial_state(n, p, r, RplsConfig(k=k, alpha1_0=1.0))
+        state = initial_state(n, p, r, RplsConfig(k=k, alpha0=1.0))
         x = np.zeros((n, p))
         x[2, 1] = 5.0
         dx, _ = sparse_step(state, x, np.zeros((n, r)))
@@ -246,7 +246,7 @@ class TestMultipliersAndPenalties:
     def test_accumulates_residual(self, rng):
         # Two steps with a constant residual grow the multiplier by alpha*R each.
         n, p, r, k = 5, 4, 2, 2
-        state = initial_state(n, p, r, RplsConfig(k=k, alpha1_0=1.5, alpha2_0=1.5))
+        state = initial_state(n, p, r, RplsConfig(k=k, alpha0=1.5))
         x = rng.standard_normal((n, p))
         y = np.zeros((n, r))
         rx = x.copy()  # q @ lx.T and delta_x are zero
