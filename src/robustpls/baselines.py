@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, check_fields
-from .linalg import _check_k, _matched_rows, as_matrix, svd
+from .linalg import _check_arrays, _check_k, _matched_rows, as_matrix, svd
 
 __all__ = [
     "LinearModel",
@@ -38,7 +38,11 @@ class LinearModel:
     n_components: int = 0
     notes: tuple = ()
 
+    # Construction rejects arrays that disagree in these axes or are not finite.
+    AXES = {"theta": "pr", "x_means": "p", "y_means": "r"}
+
     def __post_init__(self):
+        _check_arrays(self, self.AXES)
         if self.method_tag not in ("MLR", "PCR", "PLSR"):
             raise ConfigError(f"method_tag must be MLR, PCR or PLSR, got {self.method_tag!r}")
         check_fields(self, integers=(("n_components", 0),))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -241,6 +242,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # the tree never changes, so one build serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpls",

@@ -3,8 +3,9 @@
 All numeric output uses the shortest decimal representation that
 round-trips to the same binary float, so files re-parse losslessly.
 Models serialize to a single JSON document discriminated by ``kind``:
-"linear" (a coefficient matrix) or "projection" (the loadings a
-``ProjectionRegressor`` compiles). A document holds only what prediction
+"linear" (a ``LinearModel``) or "projection" (a ``ProjectionRegressor``),
+then the model's init fields in declaration order; the class checks its own
+arrays when loading builds it. A document holds only what prediction
 reads, so a robust fit is saved as its projection regressor. The schema
 ships with the package.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from importlib import resources
 import numpy as np
 
@@ -108,11 +110,6 @@ def write_csv(path, matrix, header=None) -> None:
             writer.writerow([format_float(v) for v in row])
 
 
-def _encode_matrix(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.float64)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.ravel().tolist()}
-
-
 def _numbers(values, key: str) -> np.ndarray:
     """A JSON list of numbers as float64. A string, boolean or nested list fails, naming ``key``."""
     # One pass over the parsed list: json reads every number as an int or a float.
@@ -121,8 +118,17 @@ def _numbers(values, key: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _strings(values, key: str) -> tuple:
+    """A JSON list of strings as a tuple, naming ``key`` otherwise."""
+    if not isinstance(values, list) or not all(isinstance(s, str) for s in values):
+        raise ValueError(f"field {key!r} must be a list of strings")
+    return tuple(values)
+
+
 def _decode_matrix(doc: dict, key: str) -> np.ndarray:
     d = doc[key]
+    if not (isinstance(d, dict) and {"rows", "cols", "data"} <= d.keys()):
+        raise ValueError(f"field {key!r} must be an object with rows, cols and data")
     rows, cols = d["rows"], d["cols"]
     if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
         raise ValueError(f"field {key!r} must have nonnegative integer rows and cols, got {rows!r}x{cols!r}")
@@ -132,33 +138,35 @@ def _decode_matrix(doc: dict, key: str) -> np.ndarray:
     return m.reshape(rows, cols)
 
 
+# Document kind -> model class. A document holds the class's init fields in
+# declaration order; the class checks the arrays its AXES name when built.
+_KINDS = {"linear": LinearModel, "projection": ProjectionRegressor}
+
+
+def _encode(value, axes):
+    """One init field as JSON: arrays (``axes`` names their dimensions) as lists or matrix objects."""
+    if axes is not None:
+        a = np.asarray(value, dtype=np.float64)
+        if len(axes) == 1:
+            return a.tolist()
+        return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel().tolist()}
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    return value
+
+
 def model_to_dict(model) -> dict:
     """Serialize a fitted model to a JSON-compatible dict."""
-    if isinstance(model, LinearModel):
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "kind": "linear",
-            "theta": _encode_matrix(model.theta),
-            "x_means": np.asarray(model.x_means, dtype=np.float64).tolist(),
-            "y_means": np.asarray(model.y_means, dtype=np.float64).tolist(),
-            "method_tag": model.method_tag,
-            "n_components": int(model.n_components),
-            "notes": list(model.notes),
-        }
-    if isinstance(model, ProjectionRegressor):
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "kind": "projection",
-            "lambda_x": _encode_matrix(model.lambda_x),
-            "lambda_y": _encode_matrix(model.lambda_y),
-            "x_means": np.asarray(model.x_means, dtype=np.float64).tolist(),
-            "y_means": np.asarray(model.y_means, dtype=np.float64).tolist(),
-            "source_tag": model.source_tag,
-            "notes": list(model.notes),
-        }
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    kind = next((k for k, cls in _KINDS.items() if type(model) is cls), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "kind": kind}
+    for f in fields(model):
+        if f.init:
+            doc[f.name] = _encode(getattr(model, f.name), model.AXES.get(f.name))
+    return doc
 
 
 def model_from_dict(doc: dict):
@@ -176,49 +184,20 @@ def model_from_dict(doc: dict):
         raise ParseError(f"malformed model document: {exc}") from None
 
 
-# Axes of every array field, one letter per axis: fields sharing a letter
-# must agree in that dimension.
-_AXES = {
-    "linear": {"theta": "pr", "x_means": "p", "y_means": "r"},
-    "projection": {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"},
-}
-
-
-def _decode_arrays(doc: dict, kind: str) -> dict:
-    """Every array field of a model kind, checked to be finite and to agree in shape."""
-    dims = {}
-    arrays = {}
-    for field, axes in _AXES[kind].items():
-        a = _decode_matrix(doc, field) if len(axes) == 2 else _numbers(doc[field], field)
-        expected = tuple(dims.setdefault(ax, size) for ax, size in zip(axes, a.shape))
-        if a.shape != expected:
-            raise ValueError(f"field {field!r} has shape {a.shape}, which does not fit the other fields")
-        if not np.isfinite(a).all():
-            raise ValueError(f"field {field!r} has a non-finite entry")
-        arrays[field] = a
-    return arrays
-
-
-def _notes(doc: dict) -> tuple:
-    notes = doc.get("notes", [])
-    if not isinstance(notes, list) or not all(isinstance(s, str) for s in notes):
-        raise ValueError("field 'notes' must be a list of strings")
-    return tuple(notes)
+def _decode(doc: dict, f, axes):
+    """The value of init field ``f`` in ``doc``: the inverse of ``_encode``."""
+    if axes is not None:
+        return _decode_matrix(doc, f.name) if len(axes) == 2 else _numbers(doc[f.name], f.name)
+    if isinstance(f.default, tuple):  # a list of strings, optional in the document
+        return _strings(doc.get(f.name, []), f.name)
+    return doc[f.name]
 
 
 def _decode_model(doc: dict):
-    kind = doc["kind"]
-    if kind not in _AXES:
-        raise ValueError(f"unknown model kind {kind!r}")
-    arrays = _decode_arrays(doc, kind)
-    if kind == "linear":
-        return LinearModel(
-            **arrays,
-            method_tag=doc["method_tag"],
-            n_components=doc["n_components"],
-            notes=_notes(doc),
-        )
-    return ProjectionRegressor(**arrays, source_tag=doc["source_tag"], notes=_notes(doc))
+    cls = _KINDS.get(doc["kind"])
+    if cls is None:
+        raise ValueError(f"unknown model kind {doc['kind']!r}")
+    return cls(**{f.name: _decode(doc, f, cls.AXES.get(f.name)) for f in fields(cls) if f.init})
 
 
 def save_model(path, model) -> None:

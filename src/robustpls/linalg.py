@@ -45,6 +45,19 @@ def _matched_rows(x, y):
     return x, y
 
 
+def _check_arrays(model, axes) -> None:
+    """Each field in ``axes`` has one dimension per letter, shared letters agree, and entries are finite."""
+    dims = {}
+    for name, letters in axes.items():
+        a = getattr(model, name)
+        shape = np.shape(a)
+        expected = tuple(dims.setdefault(ax, size) for ax, size in zip(letters, shape))
+        if len(shape) != len(letters) or shape != expected:
+            raise DimensionError(f"field {name!r} has shape {shape}, which does not fit the other fields")
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"field {name!r} has a non-finite entry")
+
+
 def _check_k(k: int, shape) -> None:
     """A latent dimension fits an (n, p) predictor matrix when ``1 <= k <= min(n, p)``."""
     m = min(shape)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import RANK_RCOND, PlsFactors, _centered_product
-from .errors import ConfigError, InvalidInputError
-from .linalg import svd
+from .errors import ConfigError
+from .linalg import _check_arrays, svd
 from .rpls import RplsModel
 
 __all__ = [
@@ -59,11 +59,13 @@ class ProjectionRegressor:
     notes: tuple = ()
     w: np.ndarray = field(init=False, repr=False)  # p x k
 
+    # Construction rejects arrays that disagree in these axes or are not finite.
+    AXES = {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"}
+
     def __post_init__(self):
+        _check_arrays(self, self.AXES)
         if self.source_tag not in ("RPLS", "PLS"):
             raise ConfigError(f"source_tag must be RPLS or PLS, got {self.source_tag!r}")
-        if not (np.isfinite(self.lambda_x).all() and np.isfinite(self.lambda_y).all()):
-            raise InvalidInputError("projection loadings contain non-finite entries")
         u, s, vt = np.linalg.svd(self.lambda_x, full_matrices=False)
         keep = s > RANK_RCOND * s.max(initial=0.0)
         notes = tuple(n for n in self.notes if n not in (ZERO_NOTE, DEFICIENT_NOTE))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robustpls.baselines import LinearModel, fit_mlr, fit_pcr, fit_pls_nipals, predict
-from robustpls.errors import ConfigError, DimensionError
+from robustpls.errors import ConfigError, DimensionError, InvalidInputError
 
 from conftest import random_orthonormal
 
@@ -210,3 +210,19 @@ class TestPredict:
                 y_means=np.zeros(1),
                 method_tag="RIDGE",
             )
+
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"x_means": np.zeros(5)}, DimensionError, "'x_means' has shape"),
+        ({"y_means": np.zeros((1, 2))}, DimensionError, "'y_means' has shape"),
+        ({"theta": np.zeros(3)}, DimensionError, "'theta' has shape"),
+        ({"theta": np.array([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]])}, InvalidInputError,
+         "'theta' has a non-finite entry"),
+        ({"x_means": np.array([0.0, np.inf, 0.0])}, InvalidInputError, "'x_means' has a non-finite entry"),
+    ], ids=["x_means-length", "y_means-2d", "theta-1d", "theta-nan", "x_means-inf"])
+    def test_constructor_checks_arrays(self, fields, error, match):
+        # Unchecked, these fail only in predict, with a numpy broadcast
+        # error, or predict NaN rows without an error.
+        arrays = {"theta": np.zeros((3, 2)), "x_means": np.zeros(3), "y_means": np.zeros(2)}
+        LinearModel(**arrays, method_tag="MLR")
+        with pytest.raises(error, match=match):
+            LinearModel(**{**arrays, **fields}, method_tag="MLR")

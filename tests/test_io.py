@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from robustpls.baselines import fit_mlr, fit_pls_nipals, predict
+from robustpls.baselines import LinearModel, fit_mlr, fit_pls_nipals, predict
 from robustpls.datagen import SynthSpec, generate
 from robustpls.errors import ParseError
 from robustpls.io import (
@@ -19,7 +19,7 @@ from robustpls.io import (
     save_model,
     write_csv,
 )
-from robustpls.projection import from_pls, from_rpls, predict_projection
+from robustpls.projection import ProjectionRegressor, from_pls, from_rpls, predict_projection
 from robustpls.rpls import RplsConfig, fit
 
 
@@ -103,6 +103,26 @@ class TestModelJson:
         path = tmp_path / "model.json"
         save_model(path, model)
         assert path.read_text() == json.dumps(model_to_dict(model), separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("model, text", [
+        (LinearModel(theta=np.array([[1.5, -2.0], [0.25, 3.0], [0.0, -0.5]]), x_means=np.array([1.0, 2.0, 3.0]),
+                     y_means=np.array([-1.0, 0.5]), method_tag="PCR", n_components=2, notes=("a note",)),
+         '{"format":"robustpls-model","version":1,"kind":"linear",'
+         '"theta":{"rows":3,"cols":2,"data":[1.5,-2.0,0.25,3.0,0.0,-0.5]},"x_means":[1.0,2.0,3.0],'
+         '"y_means":[-1.0,0.5],"method_tag":"PCR","n_components":2,"notes":["a note"]}\n'),
+        (ProjectionRegressor(lambda_x=np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]]),
+                             lambda_y=np.array([[0.5, -1.0]]), x_means=np.array([0.0, 1.0, -2.0]),
+                             y_means=np.array([4.0]), source_tag="PLS", notes=("a note",)),
+         '{"format":"robustpls-model","version":1,"kind":"projection",'
+         '"lambda_x":{"rows":3,"cols":2,"data":[1.0,0.0,0.0,2.0,0.5,0.0]},'
+         '"lambda_y":{"rows":1,"cols":2,"data":[0.5,-1.0]},"x_means":[0.0,1.0,-2.0],"y_means":[4.0],'
+         '"source_tag":"PLS","notes":["a note"]}\n'),
+    ], ids=["linear", "projection"])
+    def test_document_bytes_pinned(self, tmp_path, model, text):
+        # Every key, its order and each number's spelling, as written files hold them.
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        assert path.read_text() == text
 
     def test_linear_round_trip(self, tmp_path, rng):
         x = rng.standard_normal((20, 5))
@@ -194,10 +214,13 @@ class TestModelJson:
         (column_doc({"rows": "3"}), "'theta' must have nonnegative integer rows"),
         (column_doc({"rows": True}), "'theta' must have nonnegative integer rows"),
         (column_doc({"rows": -3, "cols": -1}), "'theta' must have nonnegative integer rows"),
+        (linear_doc(theta=5), "'theta' must be an object with rows, cols and data"),
+        (linear_doc(theta="abc"), "'theta' must be an object with rows, cols and data"),
+        (linear_doc(theta=None), "'theta' must be an object with rows, cols and data"),
     ], ids=["missing-field", "data-length", "version-7", "version-bool", "n_components-fraction",
             "n_components-bool", "n_components-negative", "source_tag-unknown", "x_means-strings",
             "data-string", "data-bool", "data-nested", "y_means-bool", "rows-string", "rows-bool",
-            "rows-negative"])
+            "rows-negative", "theta-int", "theta-string", "theta-null"])
     def test_malformed_document_names_field(self, doc, match):
         with pytest.raises(ParseError, match=match):
             model_from_dict(doc)

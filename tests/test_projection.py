@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robustpls.baselines import RANK_RCOND, PlsFactors, fit_pls_nipals
-from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail
+from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail, rng_from_seed
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls import projection
 from robustpls.io import load_model, model_to_dict, save_model
@@ -33,6 +33,23 @@ def make_regressor(rng, p=7, r=3, k=4):
         y_means=rng.standard_normal(r),
         source_tag="RPLS",
     )
+
+
+def hijacked_datasets():
+    """``(x, y, train, test, corrupted y[train])`` on which the screen fires."""
+    x, y, _ = generate(SynthSpec(seed=1007))
+    perm = rng_from_seed(2007).permutation(150)
+    train, test = perm[:120], perm[120:]
+    yield x, y, train, test, inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL))[0]
+    # A nir-lowtail benchmark dataset (60x401x1), split and corrupted as
+    # `rpls bench --seed s --outliers lowtail` does. The sorted split matters:
+    # with the rows in another order the fit lands in a basin where the
+    # screen does not fire.
+    s = 1490961094
+    x, y, _ = generate(SynthSpec(n=60, p=401, r=1, seed=s))
+    perm = rng_from_seed(s).permutation(60)
+    train, test = np.sort(perm[:48]), np.sort(perm[48:])
+    yield x, y, train, test, inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL, seed=s))[0]
 
 
 class TestProject:
@@ -145,25 +162,20 @@ class TestFromRpls:
     def test_screen_removes_hijacked_direction(self):
         # Low-tail response corruption can capture a latent direction that
         # the predictors cannot support; the screen removes it.
-        from robustpls.datagen import rng_from_seed
-
-        x, y, _ = generate(SynthSpec(seed=1007))
-        perm = rng_from_seed(2007).permutation(150)
-        train, test = perm[:120], perm[120:]
-        y_bad, _ = inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL))
-        model = fit(x[train], y_bad, RplsConfig(k=5))
-        screened = from_rpls(model)
-        raw = ProjectionRegressor(
-            lambda_x=model.state.lambda_x, lambda_y=model.state.lambda_y,
-            x_means=model.x_means, y_means=model.y_means, source_tag="RPLS",
-        )
-        assert any("unstable" in note for note in screened.notes)
-        assert not raw.notes
-        # The screened regressor predicts sanely; the raw one blows up.
-        err_screened = np.linalg.norm(predict_projection(screened, x[test]) - y[test])
-        err_raw = np.linalg.norm(predict_projection(raw, x[test]) - y[test])
-        scale = np.linalg.norm(y[test])
-        assert err_screened / scale < 1.0 < err_raw / scale
+        for x, y, train, test, y_bad in hijacked_datasets():
+            model = fit(x[train], y_bad, RplsConfig(k=5))
+            screened = from_rpls(model)
+            raw = ProjectionRegressor(
+                lambda_x=model.state.lambda_x, lambda_y=model.state.lambda_y,
+                x_means=model.x_means, y_means=model.y_means, source_tag="RPLS",
+            )
+            assert any("unstable" in note for note in screened.notes)
+            assert not raw.notes
+            # The screened regressor predicts sanely; the raw one blows up.
+            err_screened = np.linalg.norm(predict_projection(screened, x[test]) - y[test])
+            err_raw = np.linalg.norm(predict_projection(raw, x[test]) - y[test])
+            scale = np.linalg.norm(y[test])
+            assert err_screened / scale < 1.0 < err_raw / scale
 
     def test_screen_inert_on_clean_fit(self):
         x, y, _ = generate(SynthSpec(seed=3))
@@ -289,6 +301,18 @@ class TestCompiledPredictor:
         loadings[0, 0] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
             replace(reg, **{field: loadings})
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"lambda_x": np.zeros((4, 2)), "lambda_y": np.zeros((1, 3))}, "'lambda_y' has shape"),
+        ({"lambda_x": np.ones(7)}, "'lambda_x' has shape"),
+        ({"x_means": np.zeros(6)}, "'x_means' has shape"),
+        ({"y_means": np.zeros(2)}, "'y_means' has shape"),
+    ], ids=["k-mismatch", "lambda_x-1d", "x_means-length", "y_means-length"])
+    def test_shape_faults_rejected(self, rng, fields, match):
+        # Unchecked, these fail later with a numpy matmul error, or with a
+        # LinAlgError from the compile of a 1-D lambda_x.
+        with pytest.raises(DimensionError, match=match):
+            replace(make_regressor(rng), **fields)
 
     @pytest.mark.parametrize("case", ["all-zero", "k=0"])
     def test_zero_loadings_predict_offsets(self, rng, case):
