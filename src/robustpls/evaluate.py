@@ -187,7 +187,7 @@ def run_experiment(
         Disjoint row index sequences. Order does not matter; indices are
         sorted internally so shuffled splits give identical reports.
     methods : sequence of str
-        Report tags of entries in ``METHODS``.
+        Report tags of entries in ``METHODS``, at least one, none repeated.
     config : RplsConfig
         Latent dimension ``k`` for every component-based method, and the
         robust solver's hyperparameters for RPLS_PROJ.
@@ -197,9 +197,14 @@ def run_experiment(
     """
     x, y = _matched_rows(x, y)
     train, test = _check_split(x.shape[0], *split)
+    if not methods:
+        raise ConfigError("methods names no method")
     for tag in methods:
         if tag not in _BY_TAG:
             raise ConfigError(f"unknown method tag {tag!r}")
+    repeated = sorted({tag for tag in methods if methods.count(tag) > 1})
+    if repeated:
+        raise ConfigError(f"method tags {repeated} repeated")
 
     x_train, y_train = x[train], y[train]
     x_test, y_test = x[test], y[test]

@@ -103,7 +103,7 @@ def write_csv(path, matrix, header=None) -> None:
     """Write a matrix as comma-separated values with lossless float formatting."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")  # as every other file the CLI writes
         if header is not None:
             writer.writerow(header)
         for row in m:

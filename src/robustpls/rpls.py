@@ -3,20 +3,19 @@
 Fits ``X = Q Lx^T + Dx`` and ``Y = Q Ly^T + Dy`` with a shared
 orthonormal score matrix Q, minimizing ``|Dx|_1 + |Dy|_1 +
 lambda1*||Lx||_* + lambda2*||Ly||_*`` by alternating closed-form block
-updates under an augmented Lagrangian with geometrically growing
-penalties. Each iteration runs the update sequence
-Q -> Lx -> Ly -> Dx -> Dy -> multipliers -> penalties and checks the
-primal residual against the tolerance.
+updates under an augmented Lagrangian. Both constraints share one
+geometrically growing penalty ``alpha``, so they act as one constraint on
+``[X Y]`` with one multiplier ``[l m]``. Each iteration runs
+Q -> Lx, Ly -> [Dx Dy] -> [l m] -> alpha and checks the primal residual.
 
-One iteration of ``fit`` is a single pass that builds each n-by-p
-intermediate once, into buffers reused across iterations:
-``b = l/alpha1 + X - Dx``, ``zx = X - Q Lx^T`` and the constraint residual
-``rx = zx - Dx``, and ``a``, ``zy``, ``ry`` for Y. The block functions take
-these, not the state: ``update_q`` and ``update_loadings`` take b and a,
-``update_sparse`` takes zx, zy and the scaled multipliers ``l/alpha1``,
-``m/alpha2``, and ``update_multipliers`` and ``primal_residual`` (the
-stopping test) take rx and ry. Each runs once per iteration and checks
-nothing; ``fit`` checks its inputs' shapes once.
+``fit`` keeps each stacked quantity in one flat ``(1, n*p + n*r)`` row,
+the X block row-major and then the Y block, and runs each elementwise step
+once per iteration on it, into reused buffers: ``[b a] = [l m]/alpha +
+[X Y] - [Dx Dy]``, ``z = [X Y] - Q [Lx Ly]^T`` and the residual
+``z - [Dx Dy]``. ``update_q`` and ``update_loadings`` take the blocks b and
+a, ``update_sparse`` z and ``[l m]/alpha``, ``update_multipliers`` the
+residual, and ``primal_residual`` (the stopping test) its two blocks. The
+blocks check nothing; ``fit`` checks its inputs' shapes once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "update_loadings",
     "update_sparse",
     "update_multipliers",
-    "update_penalties",
     "primal_residual",
     "augmented_lagrangian",
     "initial_state",
@@ -63,8 +61,8 @@ class RplsConfig:
     ``lambda = 1/sqrt(max(n, p))`` and
     ``tol = 1e-6 * (||X||_F + ||Y||_F)``.
 
-    ``alpha0`` starts both penalties, ``alpha1`` (X) and ``alpha2`` (Y);
-    each grows by ``rho`` per iteration up to ``alpha_max``.
+    ``alpha0`` starts the one penalty that the X and Y constraints share;
+    it grows by ``rho`` per iteration up to ``alpha_max``.
 
     ``center`` selects the column-location estimate removed before
     fitting: "median" (default, robust to corrupted columns), "mean",
@@ -121,7 +119,7 @@ class RplsConfig:
 
 @dataclass
 class RplsState:
-    """All block variables of one solver iteration."""
+    """All block variables of one solver iteration; ``alpha1 == alpha2``, the one penalty."""
 
     q: np.ndarray         # n x k, orthonormal columns
     lambda_x: np.ndarray  # p x k
@@ -155,9 +153,9 @@ class RplsModel:
         return self.state.q @ self.state.lambda_y.T
 
 
-def update_q(b, a, lambda_x, lambda_y, alpha1: float, alpha2: float) -> np.ndarray:
-    """Score update: the orthonormal maximizer of ``<alpha1 b Lx + alpha2 a Ly, Q>``."""
-    return procrustes_orthonormal(alpha1 * (b @ lambda_x) + alpha2 * (a @ lambda_y))
+def update_q(b, a, lambda_x, lambda_y, alpha: float) -> np.ndarray:
+    """Score update: the orthonormal maximizer of ``<alpha b Lx + alpha a Ly, Q>``."""
+    return procrustes_orthonormal(alpha * (b @ lambda_x) + alpha * (a @ lambda_y))
 
 
 def update_loadings(b, a, q, tau_x: float, tau_y: float):
@@ -165,19 +163,14 @@ def update_loadings(b, a, q, tau_x: float, tau_y: float):
     return singular_value_threshold(b.T @ q, tau_x), singular_value_threshold(a.T @ q, tau_y)
 
 
-def update_sparse(zx, zy, l_scaled, m_scaled, alpha1: float, alpha2: float):
-    """Sparse-error updates: soft thresholding of ``z + l/alpha`` at ``1/alpha``."""
-    return soft_threshold(zx + l_scaled, 1.0 / alpha1), soft_threshold(zy + m_scaled, 1.0 / alpha2)
+def update_sparse(z, scaled, alpha: float) -> np.ndarray:
+    """Sparse-error update: soft thresholding of ``z + [l m]/alpha`` at ``1/alpha``."""
+    return soft_threshold(z + scaled, 1.0 / alpha)
 
 
-def update_multipliers(l, m, rx, ry, alpha1: float, alpha2: float):
-    """Gradient-ascent step on the multipliers along the constraint residuals."""
-    return l + alpha1 * rx, m + alpha2 * ry
-
-
-def update_penalties(alpha1: float, alpha2: float, cfg: RplsConfig):
-    """Grow both penalties geometrically, capped at alpha_max."""
-    return min(cfg.rho * alpha1, cfg.alpha_max), min(cfg.rho * alpha2, cfg.alpha_max)
+def update_multipliers(lm, residual, alpha: float) -> np.ndarray:
+    """Gradient-ascent step on the multipliers along the constraint residual."""
+    return lm + alpha * residual
 
 
 def primal_residual(rx, ry) -> float:
@@ -202,14 +195,14 @@ def augmented_lagrangian(state: RplsState, x: np.ndarray, y: np.ndarray, cfg: Rp
         + cfg.lambda1 * sx.sum()
         + cfg.lambda2 * sy.sum()
         + np.vdot(state.l, rx)
-        + 0.5 * state.alpha1 * np.vdot(rx, rx)
         + np.vdot(state.m, ry)
-        + 0.5 * state.alpha2 * np.vdot(ry, ry)
+        + 0.5 * state.alpha1 * (np.vdot(rx, rx) + np.vdot(ry, ry))
     )
 
 
 def initial_state(n: int, p: int, r: int, cfg: RplsConfig) -> RplsState:
-    """Identity-padded scores, all other blocks zero."""
+    """Identity-padded scores, all other blocks zero. ``fit`` never reads this ``q``:
+    its first ``update_q`` sees zero loadings and returns ``procrustes_orthonormal(0) = eye(n, k)``."""
     return RplsState(
         q=np.eye(n, cfg.k),
         lambda_x=np.zeros((p, cfg.k)),
@@ -222,6 +215,11 @@ def initial_state(n: int, p: int, r: int, cfg: RplsConfig) -> RplsState:
         alpha2=cfg.alpha0,
         iteration=0,
     )
+
+
+def _blocks(flat, n: int, p: int):
+    """The X and Y blocks of a stacked ``(1, n*p + n*r)`` row, as C-contiguous views."""
+    return flat[0, : n * p].reshape(n, p), flat[0, n * p :].reshape(n, -1)
 
 
 def _column_center(m: np.ndarray, mode: str) -> np.ndarray:
@@ -260,34 +258,36 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
     cfg = config.resolve(xc, yc)
     n, p = xc.shape
     r = yc.shape[1]
-    state = initial_state(n, p, r, cfg)
+    state, alpha = initial_state(n, p, r, cfg), cfg.alpha0
+    data = np.concatenate((xc.ravel(), yc.ravel()))[None, :]  # [Xc Yc]; [Dx Dy] and [l m] laid out alike
+    delta, lm = np.zeros_like(data), np.zeros_like(data)
     # Step-local buffers, overwritten every iteration. No state field ever
     # refers to them, so a callback may keep the state's arrays.
-    l_scaled, b, zx = np.empty((n, p)), np.empty((n, p)), np.empty((n, p))
-    m_scaled, a, zy = np.empty((n, r)), np.empty((n, r)), np.empty((n, r))
+    scaled, ba, z = np.empty_like(data), np.empty_like(data), np.empty_like(data)
+    (b, a), (zx, zy) = _blocks(ba, n, p), _blocks(z, n, p)
 
     trace = []
     converged = False
     for it in range(1, cfg.max_iter + 1):
-        alpha1, alpha2 = state.alpha1, state.alpha2
-        np.divide(state.l, alpha1, out=l_scaled)
-        np.divide(state.m, alpha2, out=m_scaled)
-        np.subtract(np.add(l_scaled, xc, out=b), state.delta_x, out=b)
-        np.subtract(np.add(m_scaled, yc, out=a), state.delta_y, out=a)
-        state.q = update_q(b, a, state.lambda_x, state.lambda_y, alpha1, alpha2)
-        tau_x, tau_y = cfg.lambda1 / alpha1, cfg.lambda2 / alpha2
+        np.divide(lm, alpha, out=scaled)
+        np.subtract(np.add(scaled, data, out=ba), delta, out=ba)
+        state.q = update_q(b, a, state.lambda_x, state.lambda_y, alpha)
+        tau_x, tau_y = cfg.lambda1 / alpha, cfg.lambda2 / alpha
         state.lambda_x, state.lambda_y = update_loadings(b, a, state.q, tau_x, tau_y)
-        np.subtract(xc, np.matmul(state.q, state.lambda_x.T, out=zx), out=zx)
-        np.subtract(yc, np.matmul(state.q, state.lambda_y.T, out=zy), out=zy)
-        state.delta_x, state.delta_y = update_sparse(zx, zy, l_scaled, m_scaled, alpha1, alpha2)
-        rx = np.subtract(zx, state.delta_x, out=zx)
-        ry = np.subtract(zy, state.delta_y, out=zy)
-        state.l, state.m = update_multipliers(state.l, state.m, rx, ry, alpha1, alpha2)
-        state.alpha1, state.alpha2 = update_penalties(alpha1, alpha2, cfg)
+        np.matmul(state.q, state.lambda_x.T, out=zx)
+        np.matmul(state.q, state.lambda_y.T, out=zy)
+        np.subtract(data, z, out=z)
+        delta = update_sparse(z, scaled, alpha)
+        np.subtract(z, delta, out=z)  # z is now the constraint residual
+        lm = update_multipliers(lm, z, alpha)
+        alpha = min(cfg.rho * alpha, cfg.alpha_max)
+        state.delta_x, state.delta_y = _blocks(delta, n, p)
+        state.l, state.m = _blocks(lm, n, p)
+        state.alpha1 = state.alpha2 = alpha
         state.iteration = it
-        residual = primal_residual(rx, ry)
+        residual = primal_residual(zx, zy)
         trace.append((it, residual))
-        logger.debug("iteration %d: residual=%.6e alpha1=%.3e", it, residual, state.alpha1)
+        logger.debug("iteration %d: residual=%.6e alpha=%.3e", it, residual, alpha)
         if callback is not None:
             callback(state, residual)
         if residual < cfg.tol:

@@ -356,6 +356,25 @@ class TestBench:
         assert load_csv(out / "predictions_rpls_proj.csv").tobytes() == expected.tobytes()
 
 
+class TestOutputFiles:
+    def test_every_file_ends_lines_with_newline_only(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", "40", "--p", "12", "--r", "2", "--n-collinear", "4",
+                       "--outliers", "sparse", "--out-dir", str(data)) == 0
+        xy = ("--x", str(data / "x.csv"), "--y", str(data / "y.csv"))
+        for method in METHODS:
+            assert run_cli("fit", *xy, "--method", method, "--k", "3",
+                           "--out-dir", str(tmp_path / f"fit_{method}")) == 0
+            assert run_cli("predict", "--model", str(tmp_path / f"fit_{method}" / "model.json"),
+                           "--x", str(data / "x.csv"), "--out-dir", str(tmp_path / f"pred_{method}")) == 0
+        assert run_cli("bench", *xy, "--k", "3", "--out-dir", str(tmp_path / "bench")) == 0
+        files = sorted(f for f in tmp_path.rglob("*") if f.is_file())
+        names = {f.name for f in files}
+        assert {"x.csv", "residual_trace.csv", "model.json", "predictions.csv", "report.csv",
+                "report.json"} <= names
+        assert [f.relative_to(tmp_path) for f in files if b"\r" in f.read_bytes()] == []
+
+
 class TestCliErrors:
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

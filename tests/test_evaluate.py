@@ -197,3 +197,12 @@ class TestRunExperiment:
             run_experiment(x, y, ([0, 0, 1], [2]), ["MLR"])
         with pytest.raises(ConfigError):
             run_experiment(x, y, ([0, 1], [2]), ["OLS"])
+
+    def test_method_list_validation(self):
+        # As in rpls bench: no method is an error, and so is a repeated tag,
+        # which would be fitted twice but reported once.
+        x, y, _ = generate(SynthSpec(n=30, p=10, n_collinear=2, seed=27))
+        with pytest.raises(ConfigError, match="no method"):
+            run_experiment(x, y, ([0, 1], [2]), [])
+        with pytest.raises(ConfigError, match=r"\['MLR'\] repeated"):
+            run_experiment(x, y, ([0, 1], [2]), ["MLR", "PCR", "MLR"])

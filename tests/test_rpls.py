@@ -15,7 +15,6 @@ from robustpls.rpls import (
     primal_residual,
     update_loadings,
     update_multipliers,
-    update_penalties,
     update_q,
     update_sparse,
 )
@@ -23,7 +22,7 @@ from robustpls.rpls import (
 from conftest import random_orthonormal
 
 
-def make_state(rng, n=12, p=7, r=3, k=4, alpha1=2.0, alpha2=1.5):
+def make_state(rng, n=12, p=7, r=3, k=4, alpha=2.0):
     return RplsState(
         q=random_orthonormal(rng, n, k),
         lambda_x=rng.standard_normal((p, k)),
@@ -32,16 +31,21 @@ def make_state(rng, n=12, p=7, r=3, k=4, alpha1=2.0, alpha2=1.5):
         delta_y=rng.standard_normal((n, r)) * 0.1,
         l=rng.standard_normal((n, p)) * 0.05,
         m=rng.standard_normal((n, r)) * 0.05,
-        alpha1=alpha1,
-        alpha2=alpha2,
+        alpha1=alpha,
+        alpha2=alpha,
     )
+
+
+def stacked(bx, by):
+    """The flat ``(1, n*p + n*r)`` row fit keeps: the X block row-major, then the Y block."""
+    return np.concatenate((bx.ravel(), by.ravel()))[None, :]
 
 
 # The block functions take the intermediates fit builds in one pass; these
 # build them from a state exactly as the fit loop does.
 def shifted(state, x, y):
-    """``b = l/alpha1 + X - Dx`` and ``a = m/alpha2 + Y - Dy``."""
-    return state.l / state.alpha1 + x - state.delta_x, state.m / state.alpha2 + y - state.delta_y
+    """``b = l/alpha + X - Dx`` and ``a = m/alpha + Y - Dy``."""
+    return state.l / state.alpha1 + x - state.delta_x, state.m / state.alpha1 + y - state.delta_y
 
 
 def residuals(state, x, y):
@@ -52,22 +56,23 @@ def residuals(state, x, y):
 
 def q_step(state, x, y):
     b, a = shifted(state, x, y)
-    return update_q(b, a, state.lambda_x, state.lambda_y, state.alpha1, state.alpha2)
+    return update_q(b, a, state.lambda_x, state.lambda_y, state.alpha1)
 
 
 def loadings_step(state, x, y, cfg):
     b, a = shifted(state, x, y)
-    return update_loadings(b, a, state.q, cfg.lambda1 / state.alpha1, cfg.lambda2 / state.alpha2)
+    return update_loadings(b, a, state.q, cfg.lambda1 / state.alpha1, cfg.lambda2 / state.alpha1)
 
 
 def sparse_step(state, x, y):
-    zx, zy = x - state.q @ state.lambda_x.T, y - state.q @ state.lambda_y.T
-    return update_sparse(zx, zy, state.l / state.alpha1, state.m / state.alpha2,
-                         state.alpha1, state.alpha2)
+    z = stacked(x - state.q @ state.lambda_x.T, y - state.q @ state.lambda_y.T)
+    delta = update_sparse(z, stacked(state.l, state.m) / state.alpha1, state.alpha1)
+    return rpls._blocks(delta, *x.shape)
 
 
 def multiplier_step(state, x, y):
-    return update_multipliers(state.l, state.m, *residuals(state, x, y), state.alpha1, state.alpha2)
+    lm = update_multipliers(stacked(state.l, state.m), stacked(*residuals(state, x, y)), state.alpha1)
+    return rpls._blocks(lm, *x.shape)
 
 
 def residual_of(state, x, y):
@@ -144,7 +149,7 @@ class TestUpdateQ:
             q=q_star, lambda_x=lx, lambda_y=ly,
             delta_x=np.zeros((n, p)), delta_y=np.zeros((n, r)),
             l=np.zeros((n, p)), m=np.zeros((n, r)),
-            alpha1=2.0, alpha2=3.0,
+            alpha1=2.0, alpha2=2.0,
         )
         np.testing.assert_allclose(q_step(state, x, y), q_star, atol=1e-10)
 
@@ -156,8 +161,7 @@ class TestUpdateLoadings:
         y = rng.standard_normal((12, 3))
         cfg = RplsConfig(k=4, lambda1=1e-300, lambda2=1e-300)
         lx, ly = loadings_step(state, x, y, cfg)
-        b = state.l / state.alpha1 + x - state.delta_x
-        a = state.m / state.alpha2 + y - state.delta_y
+        b, a = shifted(state, x, y)
         np.testing.assert_allclose(lx, b.T @ state.q, atol=1e-12)
         np.testing.assert_allclose(ly, a.T @ state.q, atol=1e-12)
 
@@ -177,8 +181,7 @@ class TestUpdateLoadings:
         y = rng.standard_normal((12, 3))
         cfg = RplsConfig(k=4, lambda1=0.8, lambda2=0.3)
         lx, ly = loadings_step(state, x, y, cfg)
-        b = state.l / state.alpha1 + x - state.delta_x
-        a = state.m / state.alpha2 + y - state.delta_y
+        b, a = shifted(state, x, y)
         np.testing.assert_allclose(
             np.linalg.svd(lx, compute_uv=False),
             np.maximum(np.linalg.svd(b.T @ state.q, compute_uv=False) - cfg.lambda1 / state.alpha1, 0),
@@ -186,7 +189,7 @@ class TestUpdateLoadings:
         )
         np.testing.assert_allclose(
             np.linalg.svd(ly, compute_uv=False),
-            np.maximum(np.linalg.svd(a.T @ state.q, compute_uv=False) - cfg.lambda2 / state.alpha2, 0),
+            np.maximum(np.linalg.svd(a.T @ state.q, compute_uv=False) - cfg.lambda2 / state.alpha1, 0),
             atol=1e-10,
         )
 
@@ -222,9 +225,9 @@ class TestUpdateSparse:
         y = rng.standard_normal((12, 3))
         dx, dy = sparse_step(state, x, y)
         rx = x - state.q @ state.lambda_x.T + state.l / state.alpha1
-        ry = y - state.q @ state.lambda_y.T + state.m / state.alpha2
+        ry = y - state.q @ state.lambda_y.T + state.m / state.alpha1
         assert (dx[np.abs(rx) <= 1.0 / state.alpha1] == 0).all()
-        assert (dy[np.abs(ry) <= 1.0 / state.alpha2] == 0).all()
+        assert (dy[np.abs(ry) <= 1.0 / state.alpha1] == 0).all()
 
 
 class TestMultipliersAndPenalties:
@@ -256,11 +259,39 @@ class TestMultipliersAndPenalties:
         l2, _ = multiplier_step(state, x, y)
         np.testing.assert_allclose(l2, 2 * 1.5 * rx)
 
-    def test_penalty_schedule(self):
-        cfg = RplsConfig(k=2, rho=1.5, alpha_max=10.0)
-        assert update_penalties(1.0, 1.0, cfg) == (1.5, 1.5)
-        assert update_penalties(8.0, 8.0, cfg) == (10.0, 10.0)
-        assert update_penalties(10.0, 10.0, cfg) == (10.0, 10.0)
+    def test_penalty_schedule(self, rng):
+        # One penalty for both constraints: alpha1 == alpha2 at every
+        # iteration, grown by rho from alpha0 and capped at alpha_max.
+        seen = []
+        fit(rng.standard_normal((15, 8)), rng.standard_normal((15, 3)),
+            RplsConfig(k=2, rho=1.5, alpha_max=10.0, max_iter=9, tol=1e-300),
+            callback=lambda s, r: seen.append((s.alpha1, s.alpha2)))
+        assert seen == [(a, a) for a in (1.5, 2.25, 3.375, 5.0625, 7.59375, 10.0, 10.0, 10.0, 10.0)]
+
+
+class TestStackedLayout:
+    def test_blocks_are_contiguous_views(self, rng):
+        x, y = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
+        flat = stacked(x, y)
+        for block, expected in zip(rpls._blocks(flat, 6, 4), (x, y)):
+            assert block.flags.c_contiguous and np.shares_memory(block, flat)
+            np.testing.assert_array_equal(block, expected)
+
+    def test_flat_steps_equal_blockwise(self, rng):
+        # Each elementwise step on the stacked row gives, bit for bit, what
+        # the same call gives on each block alone.
+        n, p, r, alpha = 9, 5, 3, 1.7
+        zx, sx, lx = (rng.standard_normal((n, p)) for _ in range(3))
+        zy, sy, ly = (rng.standard_normal((n, r)) for _ in range(3))
+        pairs = (
+            (update_sparse(stacked(zx, zy), stacked(sx, sy), alpha),
+             (update_sparse(zx, sx, alpha), update_sparse(zy, sy, alpha))),
+            (update_multipliers(stacked(lx, ly), stacked(zx, zy), alpha),
+             (update_multipliers(lx, zx, alpha), update_multipliers(ly, zy, alpha))),
+        )
+        for flat, blockwise in pairs:
+            for got, expected in zip(rpls._blocks(flat, n, p), blockwise):
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestPrimalResidual:
@@ -427,7 +458,7 @@ class TestFit:
         # every iteration, so references a callback keeps stay valid.
         x = rng.standard_normal((15, 8))
         y = rng.standard_normal((15, 3))
-        fields = ("q", "delta_x", "l", "m")
+        fields = ("q", "delta_x", "delta_y", "l", "m")
         kept = []
         fit(x, y, RplsConfig(k=3, max_iter=20, tol=1e-300),
             callback=lambda s, r: kept.append({f: (getattr(s, f), getattr(s, f).copy()) for f in fields}))
@@ -439,14 +470,14 @@ class TestFit:
     def test_each_block_runs_once_per_iteration(self, rng, monkeypatch):
         calls = {}
         for name in ("update_q", "update_loadings", "update_sparse", "update_multipliers",
-                     "update_penalties", "primal_residual"):
+                     "primal_residual"):
             def counted(*args, _fn=getattr(rpls, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
             monkeypatch.setattr(rpls, name, counted)
         fit(rng.standard_normal((15, 8)), rng.standard_normal((15, 3)),
             RplsConfig(k=3, max_iter=9, tol=1e-300))
-        assert calls == dict.fromkeys(calls, 9) and len(calls) == 6
+        assert calls == dict.fromkeys(calls, 9) and len(calls) == 5
 
     def test_input_validation(self, rng):
         with pytest.raises(DimensionError):
