@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
 import numpy as np
@@ -58,16 +59,36 @@ def format_float(v: float) -> str:
 def load_csv(file) -> np.ndarray:
     """Read a matrix from a comma-separated file.
 
-    Accepts a ``DatasetFile`` or a bare path (no header). Every row must
-    have the same number of cells and every cell must parse as a finite
-    number; violations raise ``ParseError`` with the offending line (and
-    column) number.
+    Accepts a ``DatasetFile`` or a bare path (no header). The file is read
+    as UTF-8, with or without a byte-order mark, and blank lines are
+    skipped. Every row must have the same number of cells and every cell
+    must parse as a finite number (any ``float`` spelling, quoted or not);
+    violations raise ``ParseError`` with the offending line (and column)
+    number.
     """
     if not isinstance(file, DatasetFile):
         file = DatasetFile(path=str(file))
+    # One vectorised parse of the whole file. Its grammar is a subset of the
+    # cell parser's, and both read each number as the correctly rounded
+    # double, so a file it rejects, or one with no data or a non-finite
+    # entry, goes to the cell parser, which loads it the same way or names
+    # the fault.
+    try:
+        with open(file.path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no data
+            m = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=int(file.has_header))
+    except ValueError:
+        return _parse_cells(file)
+    if m.size == 0 or not np.isfinite(m).all():
+        return _parse_cells(file)
+    return m
+
+
+def _parse_cells(file: DatasetFile) -> np.ndarray:
+    """``load_csv`` one cell at a time, raising ``ParseError`` at the first fault."""
     rows = []
     width = None
-    with open(file.path, newline="") as fh:
+    with open(file.path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             if file.has_header and lineno == 1:
@@ -100,14 +121,15 @@ def load_csv(file) -> np.ndarray:
 
 
 def write_csv(path, matrix, header=None) -> None:
-    """Write a matrix as comma-separated values with lossless float formatting."""
+    """Write a matrix as UTF-8 comma-separated values with lossless float formatting."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # as every other file the CLI writes
+    # A float's repr is format_float's string, which never needs quoting; a
+    # row that is not all floats (input of more than two dimensions) raises.
+    body = "".join(",".join(map(float.__repr__, row)) + "\n" for row in m.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         if header is not None:
-            writer.writerow(header)
-        for row in m:
-            writer.writerow([format_float(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerow(header)  # as every other file the CLI writes
+        fh.write(body)
 
 
 def _numbers(values, key: str) -> np.ndarray:

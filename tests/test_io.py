@@ -1,15 +1,18 @@
 """CSV parsing, float formatting, and model JSON round-trip tests."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from robustpls import io as io_mod
 from robustpls.baselines import LinearModel, fit_mlr, fit_pls_nipals, predict
 from robustpls.datagen import SynthSpec, generate
 from robustpls.errors import ParseError
 from robustpls.io import (
     DatasetFile,
+    _parse_cells,
     format_float,
     load_csv,
     load_model,
@@ -63,10 +66,11 @@ class TestCsv:
         np.testing.assert_array_equal(m, [[1.5, 2.5, 3.5]])
 
     def test_round_trip_lossless(self, tmp_path, rng):
-        m = rng.standard_normal((7, 4)) * np.pi * 1e-3
+        m = rng.standard_normal((7, 4)) * np.pi * 10.0 ** rng.integers(-300, 300, (7, 4))
+        m[0] = [-0.0, 5e-324, 1e308, 0.1]
         f = tmp_path / "m.csv"
-        write_csv(f, m)
-        np.testing.assert_array_equal(load_csv(f), m)
+        write_csv(f, m, header=["a,b", "c", "d", "e"])
+        assert load_csv(DatasetFile(str(f), has_header=True)).tobytes() == m.tobytes()
 
     def test_ragged_rows_error_has_line(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -95,6 +99,91 @@ class TestCsv:
     def test_format_float_shortest_round_trip(self):
         for v in [0.1, 1 / 3, np.pi, 1e-300, -7.25, 2.0]:
             assert float(format_float(v)) == float(v)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("1.0,2\n3,-0.5\n", encoding="utf-8")
+        marked.write_text("1.0,2\n3,-0.5\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_csv(marked).tobytes() == load_csv(plain).tobytes()
+        quoted = tmp_path / "quoted.csv"  # a file only the cell parser reads
+        quoted.write_text('"1.0",2\n3,-0.5\n', encoding="utf-8-sig")
+        assert load_csv(quoted).tobytes() == load_csv(plain).tobytes()
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("a,b\n1,2\n", encoding="utf-8-sig")
+        np.testing.assert_array_equal(load_csv(DatasetFile(str(f), has_header=True)), [[1.0, 2.0]])
+        f.write_text("a,b\n", encoding="utf-8-sig")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(DatasetFile(str(f), has_header=True))
+
+    @pytest.mark.parametrize("text, has_header", [
+        ("1,2\n3,4\n", False), ("1.5,2.5,3.5", False), ("1\n2\n3\n", False),
+        ("a,b\n-0.0,5e-324\n", True), ("\r\n1,2\r\n\r\n3,4", False),
+    ])
+    def test_plain_file_takes_one_vectorised_parse(self, tmp_path, monkeypatch, text, has_header):
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        expected = _parse_cells(DatasetFile(str(f), has_header=has_header))
+
+        def cell_parser_called(file):
+            raise AssertionError(f"cell parser ran on {file.path}")
+
+        monkeypatch.setattr(io_mod, "_parse_cells", cell_parser_called)
+        got = load_csv(DatasetFile(str(f), has_header=has_header))
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ('"1",2\n', [[1.0, 2.0]]), ("1_0,2\n", [[10.0, 2.0]]), ("1,\u0662\n", [[1.0, 2.0]]),
+        ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["quoted", "underscore", "unicode-digit", "whitespace-line"])
+    def test_cell_parser_spellings_still_load(self, tmp_path, text, expected):
+        # These fail the vectorised parse, but the cells are float() input.
+        f = tmp_path / "m.csv"
+        f.write_text(text, encoding="utf-8")
+        np.testing.assert_array_equal(load_csv(f), expected)
+
+
+def _old_write_csv(path, matrix, header=None):
+    """The cell-by-cell writer ``write_csv`` replaced (now opening UTF-8 explicitly), kept as its byte oracle."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in m:
+            writer.writerow([format_float(v) for v in row])
+
+
+class TestWriteCsv:
+    EDGE = np.array([[-0.0, 5e-324, 1e308], [0.1, 2.0, -3.0], [-1e308, 1e-300, 1 / 3]])
+
+    @pytest.mark.parametrize("matrix, header", [
+        (EDGE, None),
+        (EDGE, ["a,b", "c", 'say "hi"']),
+        (EDGE[:1], None),
+        ([0.5, -0.0, 7.0], ["x", "y", "z"]),
+        (np.arange(12.0).reshape(6, 2), ["score_1", "score_2"]),
+        (np.empty((0, 2)), ["iteration", "primal_residual"]),
+        (np.array([[np.nan, np.inf, -np.inf]]), None),
+    ], ids=["edges", "quoted-header", "one-row", "vector", "integral", "no-rows", "non-finite"])
+    def test_bytes_match_cell_writer(self, tmp_path, matrix, header):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(new, matrix, header=header)
+        _old_write_csv(old, matrix, header=header)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_more_than_two_dimensions_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "m.csv", np.zeros((2, 2, 2)))
+
+    def test_header_cell_with_comma_is_quoted(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_csv(f, [[1.0, 2.0]], header=["a,b", "c"])
+        assert f.read_bytes() == b'"a,b",c\n1.0,2.0\n'
 
 
 class TestModelJson:
