@@ -26,6 +26,12 @@ __all__ = [
 # Relative singular-value cutoff below which directions count as rank-deficient.
 RANK_RCOND = 1e-12
 
+# Prediction centers a large batch this many bytes of rows at a time, so the
+# block stays in a core's L2 cache (2 MiB on the x86 host it was tuned on)
+# between the subtraction that writes it and the product that reads it; a
+# full centered copy of a wide batch goes out to memory and comes back.
+BLOCK_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -191,11 +197,30 @@ def fit_pls_nipals(x, y, k: int):
 
 
 def _centered_product(x_new, x_means, matrix) -> np.ndarray:
-    """``(x_new - x_means) @ matrix`` for checked rows; shared with projection."""
+    """``(x_new - x_means) @ matrix`` for checked rows; shared with projection.
+
+    A batch whose centered copy fits in ``BLOCK_BYTES`` takes that expression
+    as written. A larger one is centered a block of rows at a time into one
+    reused buffer, and each block is multiplied into its rows of the output.
+    """
     x_new = as_matrix(x_new, "x_new")
-    if x_new.shape[1] != matrix.shape[0]:
-        raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")
-    return (x_new - x_means) @ matrix
+    n, p = x_new.shape
+    if p != matrix.shape[0]:
+        raise DimensionError(f"x_new has {p} columns, model expects {matrix.shape[0]}")
+    if x_new.nbytes <= BLOCK_BYTES:
+        # One pass of the loop gives the same bits, but its buffer, output
+        # and slices cost ~2 us a call: through the loop, one-row predicts
+        # read 1.24-1.28x slower (perfbench `predict_row_us`, five paired
+        # 55 s runs per workload on a 2-vCPU x86 host, 10 of 10 pairs).
+        return (x_new - x_means) @ matrix
+    rows = max(1, BLOCK_BYTES // (8 * p))
+    buf = np.empty((rows, p))
+    out = np.empty((n, matrix.shape[1]))
+    for start in range(0, n, rows):
+        chunk = x_new[start : start + rows]
+        block = np.subtract(chunk, x_means, out=buf[: len(chunk)])
+        np.matmul(block, matrix, out=out[start : start + rows])
+    return out
 
 
 def predict(model: LinearModel, x_new) -> np.ndarray:

@@ -210,14 +210,7 @@ def cmd_bench(args) -> int:
     if not 0.0 < args.split < 1.0:
         raise RplsError(f"--split must be in (0, 1), got {args.split}")
     method_keys = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not method_keys:
-        raise RplsError(f"--methods names no method; valid: {sorted(evaluate.METHODS)}")
-    bad = [m for m in method_keys if m not in evaluate.METHODS]
-    if bad:
-        raise RplsError(f"unknown methods: {bad}; valid: {sorted(evaluate.METHODS)}")
-    repeated = sorted({m for m in method_keys if method_keys.count(m) > 1})
-    if repeated:
-        raise RplsError(f"--methods names {repeated} more than once")
+    evaluate._check_methods(method_keys, evaluate.METHODS, "--methods")
     tags = [evaluate.METHODS[m].tag for m in method_keys]
 
     perm = datagen.rng_from_seed(args.seed).permutation(n)

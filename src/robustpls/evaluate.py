@@ -160,6 +160,22 @@ METHODS = {
 _BY_TAG = {m.tag: m for m in METHODS.values()}
 
 
+def _check_methods(names, known, label: str) -> None:
+    """The rule for a method list: at least one name, each in ``known``, none twice.
+
+    ``label`` names the list in the message: ``run_experiment``'s parameter
+    or the CLI's ``--methods``.
+    """
+    if not names:
+        raise ConfigError(f"{label} names no method; valid: {sorted(known)}")
+    unknown = [m for m in names if m not in known]
+    if unknown:
+        raise ConfigError(f"{label}: unknown {unknown}; valid: {sorted(known)}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"{label}: {repeated} repeated")
+
+
 def predict_model(model, x_new) -> np.ndarray:
     """Predictions of any fitted model kind: robust, projection or linear."""
     if isinstance(model, rpls.RplsModel):
@@ -197,14 +213,7 @@ def run_experiment(
     """
     x, y = _matched_rows(x, y)
     train, test = _check_split(x.shape[0], *split)
-    if not methods:
-        raise ConfigError("methods names no method")
-    for tag in methods:
-        if tag not in _BY_TAG:
-            raise ConfigError(f"unknown method tag {tag!r}")
-    repeated = sorted({tag for tag in methods if methods.count(tag) > 1})
-    if repeated:
-        raise ConfigError(f"method tags {repeated} repeated")
+    _check_methods(methods, _BY_TAG, "methods")
 
     x_train, y_train = x[train], y[train]
     x_test, y_test = x[test], y[test]

@@ -64,7 +64,8 @@ def load_csv(file) -> np.ndarray:
     skipped. Every row must have the same number of cells and every cell
     must parse as a finite number (any ``float`` spelling, quoted or not);
     violations raise ``ParseError`` with the offending line (and column)
-    number.
+    number, counted in physical lines. A file that is not UTF-8 raises
+    ``ParseError`` too.
     """
     if not isinstance(file, DatasetFile):
         file = DatasetFile(path=str(file))
@@ -72,7 +73,7 @@ def load_csv(file) -> np.ndarray:
     # cell parser's, and both read each number as the correctly rounded
     # double, so a file it rejects, or one with no data or a non-finite
     # entry, goes to the cell parser, which loads it the same way or names
-    # the fault.
+    # the fault. A decoding fault is a ValueError as well.
     try:
         with open(file.path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no data
@@ -88,36 +89,50 @@ def _parse_cells(file: DatasetFile) -> np.ndarray:
     """``load_csv`` one cell at a time, raising ``ParseError`` at the first fault."""
     rows = []
     width = None
-    with open(file.path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if file.has_header and lineno == 1:
-                continue
-            if not cells or (len(cells) == 1 and cells[0].strip() == ""):
-                continue  # blank line
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+    for lineno, cells in _records(file):
+        if not cells or (len(cells) == 1 and cells[0].strip() == ""):
+            continue  # blank line
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ParseError(
+                f"{file.path}: line {lineno}: expected {width} columns, found {len(cells)}"
+            )
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"{file.path}: line {lineno}: expected {width} columns, found {len(cells)}"
+                    f"{file.path}: line {lineno}, column {col}: not a number: {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{file.path}: line {lineno}, column {col}: non-finite value {cell.strip()!r}"
                 )
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{file.path}: line {lineno}, column {col}: not a number: {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{file.path}: line {lineno}, column {col}: non-finite value {cell.strip()!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise ParseError(f"{file.path}: no data rows")
     return np.array(rows, dtype=np.float64)
+
+
+def _records(file: DatasetFile):
+    """Each CSV record after the header, with the physical line it starts on.
+
+    A quoted cell may span lines, so a record's line is one past the last
+    line of the record before it, not its position among the records.
+    """
+    with open(file.path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        try:
+            for index, cells in enumerate(reader):
+                if index or not file.has_header:
+                    yield start, cells
+                start = reader.line_num + 1
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{file.path}: not UTF-8 text (byte {exc.object[exc.start]:#x})") from None
 
 
 def write_csv(path, matrix, header=None) -> None:

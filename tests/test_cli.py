@@ -22,7 +22,8 @@ from robustpls.datagen import (
     inject_sparse,
     rng_from_seed,
 )
-from robustpls.evaluate import METHODS, nmse, run_experiment
+from robustpls.errors import ConfigError
+from robustpls.evaluate import METHODS, _check_methods, nmse, run_experiment
 from robustpls.io import DatasetFile, load_csv, load_model, load_model_schema, write_csv
 from robustpls.rpls import RplsConfig, fit
 
@@ -402,6 +403,24 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["fit", "predict", "bench"])
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1,2\n3,\xb5\n")
+        argv = {"fit": ["--method", "mlr", "--x", str(bad), "--y", str(bad)],
+                "predict": ["--model", str(tmp_path / "model.json"), "--x", str(bad)],
+                "bench": ["--x", str(bad), "--y", str(bad)]}[command]
+        if command == "predict":
+            good = tmp_path / "good.csv"
+            good.write_text("1,2\n3,4\n5,7\n")
+            assert run_cli("fit", "--method", "mlr", "--x", str(good), "--y", str(good),
+                           "--out-dir", str(tmp_path)) == 0
+            capsys.readouterr()
+        code = run_cli(command, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: not UTF-8 text (byte 0xb5)"]
+
     @pytest.mark.parametrize("methods", ["", " , ", "rpls,rpls", "mlr, rpls,mlr"],
                              ids=["empty", "blank", "repeated", "repeated-spaced"])
     def test_bench_methods_named_once(self, tmp_path, capsys, methods):
@@ -416,6 +435,22 @@ class TestCliErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--methods" in err[0]
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("methods, keys", [("", []), ("rpls,rpls", ["rpls", "rpls"]),
+                                               ("mlr, ols", ["mlr", "ols"])],
+                             ids=["empty", "repeated", "unknown"])
+    def test_bench_methods_rule_is_the_library_rule(self, tmp_path, capsys, methods, keys):
+        # One rule and one message for a method list; the CLI names its flag.
+        with pytest.raises(ConfigError) as info:
+            _check_methods(keys, METHODS, "--methods")
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "8", "--r", "2", "--k", "2",
+                "--n-collinear", "2", "--out-dir", str(data))
+        capsys.readouterr()
+        code = run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--methods", methods, "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {info.value}"]
 
     @pytest.mark.parametrize("command", ["synth", "bench"])
     def test_negative_seed_rejected(self, tmp_path, capsys, command):

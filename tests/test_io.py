@@ -84,6 +84,26 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2, column 2"):
             load_csv(f)
 
+    @pytest.mark.parametrize("text, has_header, match", [
+        ('"1\n",2\n3,x\n', False, "line 3, column 2: not a number: 'x'"),
+        ('1,2\n"3\n\n",4\n5,6,7\n', False, "line 5: expected 2 columns, found 3"),
+        ('"a\nb",c\n1,2\n3,inf\n', True, "line 4, column 2: non-finite"),
+        ('1,2\r\n\r\n"3\r\n",x\r\n', False, "line 3, column 2: not a number"),
+    ], ids=["quoted-newline", "ragged-after-two", "multiline-header", "crlf-blank"])
+    def test_error_names_physical_line(self, tmp_path, text, has_header, match):
+        # A quoted cell may span lines; the message counts lines, not records.
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError, match=match):
+            load_csv(DatasetFile(str(f), has_header=has_header))
+
+    @pytest.mark.parametrize("data", [b"1,2\n3,\xb5\n", b"\xff\xfe1\x002\x00\n"], ids=["latin-1", "utf-16"])
+    def test_not_utf8_rejected(self, tmp_path, data):
+        f = tmp_path / "m.csv"
+        f.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^{f}: not UTF-8 text"):
+            load_csv(f)
+
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("1,inf\n")

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustpls.baselines import RANK_RCOND, PlsFactors, fit_pls_nipals
+from robustpls.baselines import BLOCK_BYTES, RANK_RCOND, LinearModel, PlsFactors, fit_pls_nipals, predict
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail, rng_from_seed
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls import projection
@@ -335,3 +337,97 @@ class TestCompiledPredictor:
         assert loaded.lambda_x.shape == (6, 0) and loaded.lambda_y.shape == (1, 0)
         assert loaded.notes == reg.notes
         np.testing.assert_array_equal(predict_projection(loaded, x), predict_projection(reg, x))
+
+
+def blocked_models(rng, p, r=2, k=3, zero=False):
+    """A linear model and a projection regressor over p columns, with the
+    direct expression of each: ``(x - x_means) @ M``, then the model's
+    response map."""
+    theta = np.zeros((p, r)) if zero else rng.standard_normal((p, r))
+    linear = LinearModel(theta=theta, x_means=rng.standard_normal(p) + 3.0,
+                         y_means=rng.standard_normal(r), method_tag="MLR")
+    reg = pls_regressor(rng, np.zeros((p, k)) if zero else rng.standard_normal((p, k)), r=r)
+    return {
+        "linear": (lambda x: predict(linear, x),
+                   lambda x: (x - linear.x_means) @ linear.theta + linear.y_means, linear.y_means),
+        "projection": (lambda x: predict_projection(reg, x),
+                       lambda x: ((x - reg.x_means) @ reg.w) @ reg.lambda_y.T + reg.y_means, reg.y_means),
+    }
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# 401 columns: a block holds 163 rows, so 500 rows are three blocks and 11 rows.
+P, ROWS = 401, BLOCK_BYTES // (8 * 401)
+
+
+@pytest.mark.parametrize("kind", ["linear", "projection"])
+class TestBlockedApply:
+    def test_several_blocks_agree_with_direct_expression(self, rng, kind):
+        apply, direct, _ = blocked_models(rng, P)[kind]
+        x = rng.standard_normal((500, P)) * 10.0 + 3.0
+        assert x.nbytes > BLOCK_BYTES and 500 % ROWS
+        assert_close(apply(x), direct(x))
+
+    @pytest.mark.parametrize("n", [1, 7, ROWS])
+    def test_one_block_is_bit_identical(self, rng, kind, n):
+        apply, direct, _ = blocked_models(rng, P)[kind]
+        x = rng.standard_normal((n, P))
+        assert x.nbytes <= BLOCK_BYTES
+        np.testing.assert_array_equal(apply(x), direct(x))
+
+    def test_fortran_order(self, rng, kind):
+        apply, direct, _ = blocked_models(rng, P)[kind]
+        x = rng.standard_normal((500, P))
+        got = apply(np.asfortranarray(x))
+        np.testing.assert_array_equal(got, apply(x))
+        assert_close(got, direct(x))
+
+    def test_row_wider_than_a_block(self, rng, kind):
+        p = BLOCK_BYTES // 8 + 3  # one row per block
+        apply, direct, _ = blocked_models(rng, p, k=1)[kind]
+        x = rng.standard_normal((3, p))
+        assert_close(apply(x), direct(x))
+
+    def test_no_direction_left_predicts_offsets(self, rng, kind):
+        apply, _, y_means = blocked_models(rng, P, zero=True)[kind]
+        x = rng.standard_normal((500, P))
+        np.testing.assert_array_equal(apply(x), np.tile(y_means, (500, 1)))
+
+    def test_nan_in_last_block_rejected(self, rng, kind):
+        apply, _, _ = blocked_models(rng, P)[kind]
+        x = rng.standard_normal((500, P))
+        x[-1, -1] = np.nan
+        with pytest.raises(InvalidInputError, match="x_new contains non-finite entries"):
+            apply(x)
+
+    def test_column_mismatch_text(self, rng, kind):
+        apply, _, _ = blocked_models(rng, P)[kind]
+        with pytest.raises(DimensionError, match="^x_new has 400 columns, model expects 401$"):
+            apply(rng.standard_normal((500, P - 1)))
+
+
+def test_no_direction_at_k0_predicts_offsets(rng):
+    reg = pls_regressor(rng, np.zeros((P, 0)), r=2)
+    x = rng.standard_normal((500, P))
+    assert project(reg, x).shape == (500, 0)
+    np.testing.assert_array_equal(predict_projection(reg, x), np.tile(reg.y_means, (500, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 700), blocks=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_blocked_apply_around_block_boundary(p, blocks, seed):
+    # n runs from one row to three blocks of rows, so it crosses the
+    # one-block boundary and ends full and partial last blocks.
+    rows = BLOCK_BYTES // (8 * p)
+    n = max(1, round(blocks * rows))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) + 2.0
+    for apply, direct, _ in blocked_models(rng, p).values():
+        got = apply(x)
+        if x.nbytes <= BLOCK_BYTES:
+            np.testing.assert_array_equal(got, direct(x))
+        else:
+            assert_close(got, direct(x))
