@@ -21,7 +21,7 @@ import numpy as np
 
 from . import datagen, evaluate, projection, rpls
 from .errors import RplsError
-from .io import DatasetFile, format_float, load_csv, load_model, save_model, write_csv
+from .io import DatasetFile, _not_utf8, format_float, load_csv, load_model, save_model, write_csv
 
 # Config-file keys and hyperparameter flags: exactly the fields of RplsConfig.
 HYPER_KEYS = tuple(f.name for f in dataclasses.fields(rpls.RplsConfig))
@@ -61,8 +61,11 @@ def _rpls_config(args) -> rpls.RplsConfig:
     """RplsConfig's defaults < --config file < explicit flags."""
     h = {}
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                file_cfg = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(args.config, exc) from None
         if not isinstance(file_cfg, dict):
             raise RplsError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(HYPER_KEYS)

@@ -132,7 +132,12 @@ def _records(file: DatasetFile):
                     yield start, cells
                 start = reader.line_num + 1
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{file.path}: not UTF-8 text (byte {exc.object[exc.start]:#x})") from None
+            raise _not_utf8(file.path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file at ``path`` that failed to decode as UTF-8."""
+    return ParseError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#x})")
 
 
 def write_csv(path, matrix, header=None) -> None:
@@ -245,11 +250,13 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     return model_from_dict(doc)
 
 

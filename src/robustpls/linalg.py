@@ -69,9 +69,10 @@ def _check_k(k: int, shape) -> None:
 class SvdFactors:
     """Thin SVD ``u @ diag(s) @ v.T`` with orthonormal u, v columns.
 
-    Singular values are nonincreasing. The sign convention fixes the
-    largest-magnitude entry of each left singular vector to be
-    nonnegative so factorizations are reproducible across backends.
+    Singular values are nonincreasing. Canonical factors (the default of
+    ``svd``) fix the largest-magnitude entry of each left singular vector
+    to be nonnegative so factorizations are reproducible across backends;
+    factors from ``svd(a, canonical_signs=False)`` carry LAPACK's signs.
     """
 
     u: np.ndarray
@@ -79,13 +80,19 @@ class SvdFactors:
     v: np.ndarray
 
 
-def svd(a) -> SvdFactors:
-    """Thin singular value decomposition with a deterministic sign convention.
+def svd(a, *, canonical_signs: bool = True) -> SvdFactors:
+    """Thin singular value decomposition, by default with a deterministic sign convention.
 
     Parameters
     ----------
     a : array_like
         Matrix of shape (m, n); all entries must be finite.
+    canonical_signs : bool, keyword-only
+        With True (the default) each u column is flipped, with its v column,
+        so that its largest-magnitude entry is nonnegative. With False the
+        factors are LAPACK's as they come. Callers whose output is ``u @ v.T``
+        or ``(u * s) @ v.T`` pass False: IEEE negation is exact, so a matched
+        flip leaves those products the same bit for bit.
 
     Returns
     -------
@@ -102,6 +109,8 @@ def svd(a) -> SvdFactors:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix") from exc
+    if not canonical_signs:
+        return SvdFactors(u=u, s=s, v=vt.T)
     # Flip signs so each u column has a nonnegative largest-magnitude entry.
     anchor = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[anchor, np.arange(u.shape[1])])
@@ -128,11 +137,11 @@ def soft_threshold(k, eps: float) -> np.ndarray:
     m = as_matrix(k, "k")
     if not math.isfinite(eps) or eps < 0:
         raise InvalidInputError(f"eps must be a nonnegative finite real, got {eps!r}")
-    out = np.abs(m)
-    out -= eps
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(m)
-    return out
+    # m - clip(m, ±eps) is m ∓ eps outside the band and a zero inside it;
+    # copysign gives each zero the sign of its input.
+    out = np.clip(m, -eps, eps)
+    np.subtract(m, out, out=out)
+    return np.copysign(out, m, out=out)
 
 
 def singular_value_threshold(a, tau: float) -> np.ndarray:
@@ -144,7 +153,7 @@ def singular_value_threshold(a, tau: float) -> np.ndarray:
     """
     if not math.isfinite(tau) or tau < 0:
         raise InvalidInputError(f"tau must be a nonnegative finite real, got {tau!r}")
-    f = svd(a)
+    f = svd(a, canonical_signs=False)
     s_shrunk = np.maximum(f.s - tau, 0.0)
     return (f.u * s_shrunk) @ f.v.T
 
@@ -155,11 +164,13 @@ def procrustes_orthonormal(d) -> np.ndarray:
     Given ``d`` of shape (n, k) with ``n >= k`` and thin SVD
     ``d = u @ diag(s) @ v.T``, the maximizer over all (n, k) matrices
     with orthonormal columns is ``q = u @ v.T``. The zero matrix maps
-    to ``eye(n, k)`` under the deterministic SVD convention.
+    to ``eye(n, k)``, because LAPACK returns identity factors for it; the
+    SVD sign convention plays no part, since no matched sign flip of u and
+    v changes ``u @ v.T``.
     """
     m = as_matrix(d, "d")
     n, k = m.shape
     if n < k:
         raise DimensionError(f"d must be tall or square, got shape ({n}, {k})")
-    f = svd(m)
+    f = svd(m, canonical_signs=False)
     return f.u @ f.v.T

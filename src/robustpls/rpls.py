@@ -169,8 +169,14 @@ def update_sparse(z, scaled, alpha: float) -> np.ndarray:
 
 
 def update_multipliers(lm, residual, alpha: float) -> np.ndarray:
-    """Gradient-ascent step on the multipliers along the constraint residual."""
-    return lm + alpha * residual
+    """Gradient-ascent step on the multipliers along the constraint residual.
+
+    Returns a fresh array, ``lm + alpha * residual`` bit for bit, built with
+    one temporary.
+    """
+    out = residual * alpha
+    out += lm
+    return out
 
 
 def primal_residual(rx, ry) -> float:

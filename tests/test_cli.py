@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import robustpls
-from robustpls.cli import HYPER_KEYS, build_parser, main
+from robustpls.cli import HYPER_KEYS, _rpls_config, build_parser, main
 from robustpls.datagen import (
     LOW_TAIL,
     SPARSE_RANDOM,
@@ -22,7 +22,7 @@ from robustpls.datagen import (
     inject_sparse,
     rng_from_seed,
 )
-from robustpls.errors import ConfigError
+from robustpls.errors import ConfigError, RplsError
 from robustpls.evaluate import METHODS, _check_methods, nmse, run_experiment
 from robustpls.io import DatasetFile, load_csv, load_model, load_model_schema, write_csv
 from robustpls.rpls import RplsConfig, fit
@@ -223,6 +223,14 @@ class TestFitPredict:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
 
+    def test_not_utf8_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"k": 3, "\xb5": 1}\n')
+        args = build_parser().parse_args(["fit", "--method", "rpls", "--x", "x.csv", "--y", "y.csv",
+                                          "--config", str(cfg), "--out-dir", "out"])
+        with pytest.raises(RplsError, match=rf"^{cfg}: not UTF-8 text \(byte 0xb5\)$"):
+            _rpls_config(args)
+
     def test_predict_malformed_model_rejected(self, dataset, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "robustpls-model", "kind": "linear"}))
@@ -417,6 +425,18 @@ class TestCliErrors:
                            "--out-dir", str(tmp_path)) == 0
             capsys.readouterr()
         code = run_cli(command, *argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: not UTF-8 text (byte 0xb5)"]
+
+    @pytest.mark.parametrize("flag", ["--config", "--model"])
+    def test_non_utf8_json_file_is_one_error_line(self, tmp_path, capsys, flag):
+        good = tmp_path / "good.csv"
+        good.write_text("1,2\n3,4\n5,7\n")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"k": 2, "\xb5": 1}\n')
+        command = ["fit", "--method", "rpls", "--y", str(good)] if flag == "--config" else ["predict"]
+        code = run_cli(*command, "--x", str(good), flag, str(bad), "--out-dir", str(tmp_path / "out"))
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}: not UTF-8 text (byte 0xb5)"]

@@ -287,6 +287,13 @@ class TestModelJson:
             # Through JSON text, as a reader would see it.
             jsonschema.validate(json.loads(json.dumps(doc)), schema)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        # Read in the locale's encoding, this byte used to escape as a UnicodeDecodeError.
+        p = tmp_path / "model.json"
+        p.write_bytes(b'{"format": "robustpls-model", "notes": ["\xb5"]}\n')
+        with pytest.raises(ParseError, match=rf"^{p}: not UTF-8 text \(byte 0xb5\)$"):
+            load_model(p)
+
     def test_bad_documents_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{}")

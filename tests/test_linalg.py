@@ -104,6 +104,47 @@ class TestSvd:
         np.testing.assert_allclose(f.u @ f.v.T, np.eye(4, 2))
 
 
+# The solver loop's SVD shapes: Procrustes on n x k, SVT on p x k and r x k.
+LOOP_SHAPES = [(150, 5), (40, 5), (4, 5), (60, 5), (401, 5), (1, 5)]
+
+
+def special_inputs(rng):
+    """Random inputs of the loop's shapes, a rank-deficient one and the zero matrix."""
+    yield from (rng.standard_normal(shape) * rng.uniform(0.1, 10) for shape in LOOP_SHAPES)
+    yield rng.standard_normal((30, 2)) @ rng.standard_normal((2, 5))
+    yield np.zeros((12, 5))
+
+
+class TestSignFreeKernels:
+    """The loop's kernels skip the sign convention and still give the canonical factors' bits.
+
+    These hold on any numpy and BLAS build, unlike the golden traces.
+    """
+
+    def test_procrustes_equals_canonical_product(self, rng):
+        for d in special_inputs(rng):
+            if d.shape[0] < d.shape[1]:
+                continue
+            f = svd(d)
+            assert procrustes_orthonormal(d).tobytes() == (f.u @ f.v.T).tobytes()
+
+    def test_svt_equals_canonical_product(self, rng):
+        for a in special_inputs(rng):
+            for tau in (0.0, 0.3, float(np.linalg.norm(a, 2))):
+                f = svd(a)
+                expected = (f.u * np.maximum(f.s - tau, 0.0)) @ f.v.T
+                assert singular_value_threshold(a, tau).tobytes() == expected.tobytes()
+
+    def test_raw_factors_are_a_matched_sign_flip(self, rng):
+        for a in special_inputs(rng):
+            raw, canon = svd(a, canonical_signs=False), svd(a)
+            assert raw.s.tobytes() == canon.s.tobytes()
+            np.testing.assert_allclose((raw.u * raw.s) @ raw.v.T, a, atol=1e-12 * max(1.0, np.abs(a).max()))
+            signs = np.where(raw.u[np.argmax(np.abs(raw.u), axis=0), np.arange(raw.u.shape[1])] < 0, -1.0, 1.0)
+            assert (raw.u * signs).tobytes() == canon.u.tobytes()
+            assert (raw.v * signs).tobytes() == canon.v.tobytes()
+
+
 class TestSingularValueThreshold:
     def test_zero_tau_is_identity(self, rng):
         m = rng.standard_normal((6, 4))

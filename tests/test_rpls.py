@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from robustpls import rpls
-from robustpls.datagen import SPARSE_RANDOM, OutlierSpec, SynthSpec, generate, inject_sparse
+from robustpls import linalg, rpls
+from robustpls.datagen import (
+    LOW_TAIL,
+    SPARSE_RANDOM,
+    OutlierSpec,
+    SynthSpec,
+    generate,
+    inject_low_tail,
+    inject_sparse,
+)
 from robustpls.errors import ConfigError, DimensionError, InvalidInputError
 from robustpls.rpls import (
     RplsConfig,
@@ -466,6 +474,31 @@ class TestFit:
         for it, arrays in enumerate(kept, start=1):
             for f, (ref, snapshot) in arrays.items():
                 assert ref.tobytes() == snapshot.tobytes(), f"state.{f} of iteration {it} changed"
+
+    @pytest.mark.parametrize("problem", ["sparse", "lowtail"])
+    def test_canonical_signs_give_the_same_fit(self, monkeypatch, problem):
+        # The kernels skip the SVD sign convention; forcing it back on every
+        # call must leave the trace and every state field bit for bit.
+        if problem == "sparse":
+            x, y, _ = generate(SynthSpec(n=40, p=12, r=2, k_true=3, n_collinear=2, seed=3))
+            x, y, _ = inject_sparse(x, y, OutlierSpec(kind=SPARSE_RANDOM, seed=3))
+        else:
+            x, y, _ = generate(SynthSpec(n=20, p=60, r=1, k_true=3, n_collinear=2, seed=4))
+            y, _ = inject_low_tail(y, OutlierSpec(kind=LOW_TAIL, seed=4))
+        cfg = RplsConfig(k=3)
+        lean = fit(x, y, cfg)
+        canonical_svd, calls = linalg.svd, []
+
+        def canonical(a, *, canonical_signs=True):
+            calls.append(canonical_signs)
+            return canonical_svd(a)
+
+        monkeypatch.setattr(linalg, "svd", canonical)
+        canon = fit(x, y, cfg)
+        assert calls and not any(calls)  # the kernels did ask for raw factors
+        assert lean.residual_trace == canon.residual_trace
+        for field in ("q", "lambda_x", "lambda_y", "delta_x", "delta_y", "l", "m"):
+            assert getattr(lean.state, field).tobytes() == getattr(canon.state, field).tobytes(), field
 
     def test_each_block_runs_once_per_iteration(self, rng, monkeypatch):
         calls = {}
