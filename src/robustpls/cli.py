@@ -61,16 +61,19 @@ def _rpls_config(args) -> rpls.RplsConfig:
     """RplsConfig's defaults < --config file < explicit flags."""
     h = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        # With or without a byte-order mark, as load_csv reads.
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 file_cfg = json.load(fh)
             except UnicodeDecodeError as exc:
                 raise _not_utf8(args.config, exc) from None
+            except json.JSONDecodeError as exc:
+                raise RplsError(f"{args.config}: invalid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
-            raise RplsError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
+            raise RplsError(f"{args.config}: config file must hold a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(HYPER_KEYS)
         if unknown:
-            raise RplsError(f"unknown keys in config file: {sorted(unknown)}")
+            raise RplsError(f"{args.config}: unknown keys in config file: {sorted(unknown)}")
         h.update(file_cfg)
     h.update({key: getattr(args, key) for key in HYPER_KEYS if getattr(args, key) is not None})
     return rpls.RplsConfig(**h)
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RplsError, OSError, json.JSONDecodeError) as exc:
+    except (RplsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,19 @@
 """CSV ingestion and model persistence.
 
-All numeric output uses the shortest decimal representation that
-round-trips to the same binary float, so files re-parse losslessly.
-Models serialize to a single JSON document discriminated by ``kind``:
-"linear" (a ``LinearModel``) or "projection" (a ``ProjectionRegressor``),
-then the model's init fields in declaration order; the class checks its own
-arrays when loading builds it. A document holds only what prediction
-reads, so a robust fit is saved as its projection regressor. The schema
-ships with the package.
+CSV output writes each number as the shortest decimal that round-trips to
+the same binary float, so files re-parse losslessly. Models serialize to a
+single JSON document discriminated by ``kind``: "linear" (a
+``LinearModel``) or "projection" (a ``ProjectionRegressor``), then the
+model's init fields in declaration order; the class checks its own arrays
+when loading builds it. Each array is stored exactly, as base64 of its
+little-endian float64 bytes in row-major order. A document holds only what
+prediction reads, so a robust fit is saved as its projection regressor.
+The schema ships with the package.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "robustpls-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,17 @@ def write_csv(path, matrix, header=None) -> None:
         fh.write(body)
 
 
-def _numbers(values, key: str) -> np.ndarray:
-    """A JSON list of numbers as float64. A string, boolean or nested list fails, naming ``key``."""
-    # One pass over the parsed list: json reads every number as an int or a float.
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError(f"field {key!r} must be a list of numbers")
-    return np.array(values, dtype=np.float64)
+def _float64s(text, key: str) -> np.ndarray:
+    """A base64 string of little-endian float64 bytes as a fresh float64 vector, naming ``key`` otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"field {key!r} must be a base64 string of float64 bytes")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"field {key!r} is not valid base64: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"field {key!r} holds {len(raw)} bytes, not a whole number of float64 values")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
 
 
 def _strings(values, key: str) -> tuple:
@@ -174,7 +181,7 @@ def _decode_matrix(doc: dict, key: str) -> np.ndarray:
     rows, cols = d["rows"], d["cols"]
     if not (type(rows) is int and type(cols) is int and rows >= 0 and cols >= 0):
         raise ValueError(f"field {key!r} must have nonnegative integer rows and cols, got {rows!r}x{cols!r}")
-    m = _numbers(d["data"], key)
+    m = _float64s(d["data"], key)
     if m.size != rows * cols:
         raise ValueError(f"field {key!r} has {m.size} values for a {rows}x{cols} matrix")
     return m.reshape(rows, cols)
@@ -186,12 +193,14 @@ _KINDS = {"linear": LinearModel, "projection": ProjectionRegressor}
 
 
 def _encode(value, axes):
-    """One init field as JSON: arrays (``axes`` names their dimensions) as lists or matrix objects."""
+    """One init field as JSON: arrays (``axes`` names their dimensions) as base64 strings or matrix objects."""
     if axes is not None:
-        a = np.asarray(value, dtype=np.float64)
+        # Little-endian, row-major bytes, whatever the array's own byte order and layout.
+        a = np.ascontiguousarray(value, dtype="<f8")
+        data = base64.b64encode(a.tobytes()).decode("ascii")
         if len(axes) == 1:
-            return a.tolist()
-        return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel().tolist()}
+            return data
+        return {"rows": a.shape[0], "cols": a.shape[1], "data": data}
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, numbers.Integral):
@@ -229,7 +238,7 @@ def model_from_dict(doc: dict):
 def _decode(doc: dict, f, axes):
     """The value of init field ``f`` in ``doc``: the inverse of ``_encode``."""
     if axes is not None:
-        return _decode_matrix(doc, f.name) if len(axes) == 2 else _numbers(doc[f.name], f.name)
+        return _decode_matrix(doc, f.name) if len(axes) == 2 else _float64s(doc[f.name], f.name)
     if isinstance(f.default, tuple):  # a list of strings, optional in the document
         return _strings(doc.get(f.name, []), f.name)
     return doc[f.name]
@@ -245,19 +254,23 @@ def _decode_model(doc: dict):
 def save_model(path, model) -> None:
     # json.dumps, unlike json.dump, runs the C encoder for compact output.
     text = json.dumps(model_to_dict(model), separators=(",", ":"))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
+    """Read a model document, with or without a UTF-8 byte-order mark; every ``ParseError`` names ``path``."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_model_schema() -> dict:

@@ -168,9 +168,8 @@ def procrustes_orthonormal(d) -> np.ndarray:
     SVD sign convention plays no part, since no matched sign flip of u and
     v changes ``u @ v.T``.
     """
-    m = as_matrix(d, "d")
-    n, k = m.shape
+    f = svd(d, canonical_signs=False)  # svd checks d, once
+    n, k = f.u.shape[0], f.v.shape[0]
     if n < k:
         raise DimensionError(f"d must be tall or square, got shape ({n}, {k})")
-    f = svd(m, canonical_signs=False)
     return f.u @ f.v.T

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -11,3 +13,8 @@ def random_orthonormal(rng, n, k):
     """Orthonormal columns via QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
+
+
+def b64_f8(values) -> str:
+    """``values`` as a model document stores an array: base64 of little-endian float64 bytes, row-major."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import b64_f8
 
 import robustpls
 from robustpls.cli import HYPER_KEYS, _rpls_config, build_parser, main
@@ -99,6 +100,16 @@ class TestSynth:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "x.csv").exists()
+
+
+# Config files whose errors name the file; the first, with a byte-order mark, loads.
+CONFIG_FILES = [
+    (b'\xef\xbb\xbf{"k": 2}', None),
+    (b'{"k": 3', "invalid JSON: Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (b'[["k", 3]]', "config file must hold a JSON object, got list"),
+    (b'{"alpha1_0": 2.0}', "unknown keys in config file: ['alpha1_0']"),
+]
+CONFIG_IDS = ["byte-order-mark", "invalid-json", "not-an-object", "unknown-key"]
 
 
 class TestFitPredict:
@@ -231,6 +242,59 @@ class TestFitPredict:
         with pytest.raises(RplsError, match=rf"^{cfg}: not UTF-8 text \(byte 0xb5\)$"):
             _rpls_config(args)
 
+    @pytest.mark.parametrize("data, message", CONFIG_FILES, ids=CONFIG_IDS)
+    def test_config_file_named_in_error(self, tmp_path, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        args = build_parser().parse_args(["fit", "--method", "rpls", "--x", "x.csv", "--y", "y.csv",
+                                          "--config", str(cfg), "--out-dir", "out"])
+        if message is None:
+            assert _rpls_config(args).k == 2
+        else:
+            with pytest.raises(RplsError) as info:
+                _rpls_config(args)
+            assert str(info.value) == f"{cfg}: {message}"
+
+    @pytest.mark.parametrize("data, message", CONFIG_FILES, ids=CONFIG_IDS)
+    def test_config_file_named_in_error_line(self, dataset, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        fit_dir = tmp_path / "fit"
+        code = run_cli("fit", "--method", "rpls", "--x", str(dataset / "x.csv"), "--y", str(dataset / "y.csv"),
+                       "--config", str(cfg), "--max-iter", "5", "--out-dir", str(fit_dir))
+        err = capsys.readouterr().err.splitlines()
+        if message is None:
+            assert code == 0
+            assert load_model(fit_dir / "model.json").lambda_x.shape == (12, 2)  # k from the config file
+        else:
+            assert code == 1 and err == [f"error: {cfg}: {message}"]
+
+    def test_predict_reads_model_with_byte_order_mark(self, dataset, tmp_path):
+        xy = ("--x", str(dataset / "x.csv"))
+        assert run_cli("fit", "--method", "mlr", *xy, "--y", str(dataset / "y.csv"),
+                       "--out-dir", str(tmp_path / "fit")) == 0
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "fit" / "model.json").read_bytes())
+        assert run_cli("predict", "--model", str(tmp_path / "fit" / "model.json"), *xy,
+                       "--out-dir", str(tmp_path / "plain")) == 0
+        assert run_cli("predict", "--model", str(marked), *xy, "--out-dir", str(tmp_path / "marked")) == 0
+        assert (tmp_path / "marked" / "predictions.csv").read_bytes() == \
+            (tmp_path / "plain" / "predictions.csv").read_bytes()
+
+    def test_predict_version_1_model_rejected(self, dataset, tmp_path, capsys):
+        # A model written with decimal arrays; refitting replaces it.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "robustpls-model", "version": 1, "kind": "linear",
+            "theta": {"rows": 12, "cols": 2, "data": [0.0] * 24},
+            "x_means": [0.0] * 12, "y_means": [0.0, 0.0], "method_tag": "MLR", "n_components": 0,
+        }))
+        code = run_cli("predict", "--model", str(path), "--x", str(dataset / "x.csv"),
+                       "--out-dir", str(tmp_path / "pred"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: field 'version' is 1; this reader reads version 2"]
+
     def test_predict_malformed_model_rejected(self, dataset, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "robustpls-model", "kind": "linear"}))
@@ -243,9 +307,9 @@ class TestFitPredict:
         # Loading it would let predict write all-nan rows and exit 0.
         path = tmp_path / "model.json"
         path.write_text(json.dumps({
-            "format": "robustpls-model", "version": 1, "kind": "linear",
-            "theta": {"rows": 12, "cols": 2, "data": [float("nan")] + [0.0] * 23},
-            "x_means": [float("inf")] + [0.0] * 11, "y_means": [0.0, 0.0],
+            "format": "robustpls-model", "version": 2, "kind": "linear",
+            "theta": {"rows": 12, "cols": 2, "data": b64_f8([float("nan")] + [0.0] * 23)},
+            "x_means": b64_f8([float("inf")] + [0.0] * 11), "y_means": b64_f8([0.0, 0.0]),
             "method_tag": "MLR", "n_components": 0,
         }))
         pred_dir = tmp_path / "pred"
@@ -262,9 +326,10 @@ class TestFitPredict:
         write_csv(tmp_path / "x.csv", np.zeros((5, 401)))
         path = tmp_path / "model.json"
         path.write_text(json.dumps({
-            "format": "robustpls-model", "version": 1, "kind": "linear",
-            "theta": {"rows": 401, "cols": 1, "data": [0.0] * 401},
-            "x_means": [0.0, 0.0, 0.0], "y_means": [0.0], "method_tag": "MLR", "n_components": 0,
+            "format": "robustpls-model", "version": 2, "kind": "linear",
+            "theta": {"rows": 401, "cols": 1, "data": b64_f8([0.0] * 401)},
+            "x_means": b64_f8([0.0, 0.0, 0.0]), "y_means": b64_f8([0.0]), "method_tag": "MLR",
+            "n_components": 0,
         }))
         code = run_cli("predict", "--model", str(path), "--x", str(tmp_path / "x.csv"),
                        "--out-dir", str(tmp_path / "pred"))
