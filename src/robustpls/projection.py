@@ -44,11 +44,12 @@ class ProjectionRegressor:
 
     Construction compiles the score map ``w = pinv(lambda_x.T)`` (p x k),
     keeping only the directions of ``lambda_x`` whose gain exceeds
-    ``RANK_RCOND`` times the largest. With none left (k = 0 or all-zero
-    loadings) ``w`` is zero and predictions are ``y_means``. ``w`` is
-    derived and never serialized. The compile also owns the rank notes: it
-    drops any ``ZERO_NOTE`` or ``DEFICIENT_NOTE`` it was given and appends
-    the one that holds for these loadings.
+    ``RANK_RCOND`` times the largest and whose inverse gain is a finite
+    float64. With none left (k = 0 or all-zero loadings) ``w`` is zero and
+    predictions are ``y_means``. ``w`` is derived and never serialized. The
+    compile also owns the rank notes: it drops any ``ZERO_NOTE`` or
+    ``DEFICIENT_NOTE`` it was given and appends the one that holds for
+    these loadings.
     """
 
     lambda_x: np.ndarray  # p x k
@@ -66,14 +67,22 @@ class ProjectionRegressor:
         _check_arrays(self, self.AXES)
         if self.source_tag not in ("RPLS", "PLS"):
             raise ConfigError(f"source_tag must be RPLS or PLS, got {self.source_tag!r}")
-        u, s, vt = np.linalg.svd(self.lambda_x, full_matrices=False)
+        # Compile on the loadings scaled by 2**-e to a largest entry in
+        # [0.5, 1), then scale w back. Powers of two scale exactly (bar
+        # entries far below RANK_RCOND of the largest), and the scaled gains
+        # can neither overflow near the float64 limit nor be subnormal.
+        e = int(np.frexp(np.abs(self.lambda_x).max(initial=0.0))[1])
+        u, s, vt = np.linalg.svd(np.ldexp(self.lambda_x, -e), full_matrices=False)
         keep = s > RANK_RCOND * s.max(initial=0.0)
+        # A direction whose inverse gain is not a finite float64 is numerically zero.
+        with np.errstate(over="ignore"):
+            keep[keep] = np.isfinite(np.ldexp(1.0 / s[keep], -e))
         notes = tuple(n for n in self.notes if n not in (ZERO_NOTE, DEFICIENT_NOTE))
         if not keep.any():
             notes += (ZERO_NOTE,)
         elif not keep.all():
             notes += (DEFICIENT_NOTE,)
-        object.__setattr__(self, "w", (u[:, keep] / s[keep]) @ vt[keep])
+        object.__setattr__(self, "w", np.ldexp((u[:, keep] / s[keep]) @ vt[keep], -e))
         object.__setattr__(self, "notes", notes)
 
 
@@ -132,7 +141,11 @@ def project(reg: ProjectionRegressor, x_new) -> np.ndarray:
 
 def predict_projection(reg: ProjectionRegressor, x_new) -> np.ndarray:
     """Predict responses: project to latent scores, map through y-loadings."""
-    return project(reg, x_new) @ reg.lambda_y.T + reg.y_means
+    # ``np.dot`` and an in-place add give the bits of ``@ ... + y_means``
+    # with one array and less dispatch: 0.7-1 us of a ~7 us one-row call.
+    out = np.dot(project(reg, x_new), reg.lambda_y.T)
+    out += reg.y_means
+    return out
 
 
 def regression_matrix(reg: ProjectionRegressor) -> np.ndarray:

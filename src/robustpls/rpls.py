@@ -39,7 +39,6 @@ __all__ = [
     "update_sparse",
     "update_multipliers",
     "primal_residual",
-    "augmented_lagrangian",
     "initial_state",
     "fit",
 ]
@@ -182,28 +181,6 @@ def update_multipliers(lm, residual, alpha: float) -> np.ndarray:
 def primal_residual(rx, ry) -> float:
     """Sum of Frobenius norms of the two constraint residuals."""
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
-
-
-def augmented_lagrangian(state: RplsState, x: np.ndarray, y: np.ndarray, cfg: RplsConfig) -> float:
-    """Value of the augmented Lagrangian at the current state.
-
-    Diagnostic: every block update minimizes this exactly over its own
-    block, so the value is nonincreasing within an iteration while the
-    multipliers and penalties are held fixed.
-    """
-    rx = x - state.q @ state.lambda_x.T - state.delta_x
-    ry = y - state.q @ state.lambda_y.T - state.delta_y
-    sx = np.linalg.svd(state.lambda_x, compute_uv=False)
-    sy = np.linalg.svd(state.lambda_y, compute_uv=False)
-    return float(
-        np.abs(state.delta_x).sum()
-        + np.abs(state.delta_y).sum()
-        + cfg.lambda1 * sx.sum()
-        + cfg.lambda2 * sy.sum()
-        + np.vdot(state.l, rx)
-        + np.vdot(state.m, ry)
-        + 0.5 * state.alpha1 * (np.vdot(rx, rx) + np.vdot(ry, ry))
-    )
 
 
 def initial_state(n: int, p: int, r: int, cfg: RplsConfig) -> RplsState:

@@ -538,9 +538,6 @@ def _rebuilt(model, convert):
                           for f in fields(model) if f.init})
 
 
-# Compiling loadings at the float64 limits may overflow the derived score map;
-# only the stored fields take part in the round trip.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(models())
 def test_model_round_trip_is_exact(tmp_path, model):

@@ -37,6 +37,13 @@ def make_regressor(rng, p=7, r=3, k=4):
     )
 
 
+def regressor_over(lambda_x, r=2):
+    """A regressor over the given predictor loadings, with unit response loadings and zero offsets."""
+    p, k = lambda_x.shape
+    return ProjectionRegressor(lambda_x=lambda_x, lambda_y=np.ones((r, k)), x_means=np.zeros(p),
+                               y_means=np.zeros(r), source_tag="RPLS")
+
+
 def hijacked_datasets():
     """``(x, y, train, test, corrupted y[train])`` on which the screen fires."""
     x, y, _ = generate(SynthSpec(seed=1007))
@@ -294,6 +301,22 @@ class TestCompiledPredictor:
         assert stale.notes == ("kept",)
         deficient = replace(reg, lambda_x=lam, notes=("kept", DEFICIENT_NOTE))
         assert deficient.notes == ("kept", DEFICIENT_NOTE)
+
+    def test_compiles_loadings_at_float64_max(self):
+        # Unscaled, the singular values overflow to inf and no direction is kept.
+        big = np.finfo(np.float64).max
+        lam = np.array([[big, big], [big, -big], [0.0, big]])
+        reg = regressor_over(lam)
+        assert reg.notes == ()
+        e = np.frexp(big)[1]
+        want = np.ldexp(np.linalg.pinv(np.ldexp(lam, -e).T, rcond=RANK_RCOND), -e)
+        assert np.abs(reg.w - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_subnormal_gain_compiles_to_zero(self):
+        # Unscaled, 1 / 5e-324 overflows to inf; the direction is numerically zero.
+        reg = regressor_over(np.array([[5e-324, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        assert reg.notes == (ZERO_NOTE,)
+        assert reg.w.tobytes() == np.zeros((3, 2)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["lambda_x", "lambda_y"])

@@ -17,7 +17,6 @@ from robustpls.errors import ConfigError, DimensionError, InvalidInputError
 from robustpls.rpls import (
     RplsConfig,
     RplsState,
-    augmented_lagrangian,
     fit,
     initial_state,
     primal_residual,
@@ -28,6 +27,28 @@ from robustpls.rpls import (
 )
 
 from conftest import random_orthonormal
+
+
+def augmented_lagrangian(state: RplsState, x: np.ndarray, y: np.ndarray, cfg: RplsConfig) -> float:
+    """Value of the augmented Lagrangian at the current state.
+
+    Diagnostic: every block update minimizes this exactly over its own
+    block, so the value is nonincreasing within an iteration while the
+    multipliers and penalties are held fixed.
+    """
+    rx = x - state.q @ state.lambda_x.T - state.delta_x
+    ry = y - state.q @ state.lambda_y.T - state.delta_y
+    sx = np.linalg.svd(state.lambda_x, compute_uv=False)
+    sy = np.linalg.svd(state.lambda_y, compute_uv=False)
+    return float(
+        np.abs(state.delta_x).sum()
+        + np.abs(state.delta_y).sum()
+        + cfg.lambda1 * sx.sum()
+        + cfg.lambda2 * sy.sum()
+        + np.vdot(state.l, rx)
+        + np.vdot(state.m, ry)
+        + 0.5 * state.alpha1 * (np.vdot(rx, rx) + np.vdot(ry, ry))
+    )
 
 
 def make_state(rng, n=12, p=7, r=3, k=4, alpha=2.0):
