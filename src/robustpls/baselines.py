@@ -163,27 +163,20 @@ def fit_pls_nipals(x, y, k: int):
         x_loadings.append(p_load)
         y_loadings.append(c_load)
 
-    if not weights:
-        factors = PlsFactors(
-            scores=np.zeros((n, 0)),
-            weights=np.zeros((p, 0)),
-            x_loadings=np.zeros((p, 0)),
-            y_loadings=np.zeros((r, 0)),
-        )
-        theta = np.zeros((p, r))
-    else:
-        factors = PlsFactors(
-            scores=np.column_stack(scores),
-            weights=np.column_stack(weights),
-            x_loadings=np.column_stack(x_loadings),
-            y_loadings=np.column_stack(y_loadings),
-        )
-        pw = factors.x_loadings.T @ factors.weights
-        try:
-            theta = factors.weights @ np.linalg.solve(pw, factors.y_loadings.T)
-        except np.linalg.LinAlgError:
-            theta = factors.weights @ np.linalg.pinv(pw, rcond=RANK_RCOND) @ factors.y_loadings.T
-            notes = notes + ("singular loading-weight product: pseudoinverse composition",)
+    # Each stack starts from a zero-width block, so no component gives
+    # (rows, 0) factors, and the 0x0 solve below gives a zero theta.
+    factors = PlsFactors(
+        scores=np.column_stack([np.zeros((n, 0)), *scores]),
+        weights=np.column_stack([np.zeros((p, 0)), *weights]),
+        x_loadings=np.column_stack([np.zeros((p, 0)), *x_loadings]),
+        y_loadings=np.column_stack([np.zeros((r, 0)), *y_loadings]),
+    )
+    pw = factors.x_loadings.T @ factors.weights
+    try:
+        theta = factors.weights @ np.linalg.solve(pw, factors.y_loadings.T)
+    except np.linalg.LinAlgError:
+        theta = factors.weights @ np.linalg.pinv(pw, rcond=RANK_RCOND) @ factors.y_loadings.T
+        notes = notes + ("singular loading-weight product: pseudoinverse composition",)
 
     model = LinearModel(
         theta=theta,

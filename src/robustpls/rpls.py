@@ -39,13 +39,12 @@ __all__ = [
     "update_sparse",
     "update_multipliers",
     "primal_residual",
-    "initial_state",
     "fit",
 ]
 
 logger = logging.getLogger(__name__)
 
-CENTER_MODES = ("mean", "median", "none")
+CENTER_MODES = ("median", "none")
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ class RplsConfig:
     ``alpha0`` starts the one penalty that the X and Y constraints share;
     it grows by ``rho`` per iteration up to ``alpha_max``.
 
-    ``center`` selects the column-location estimate removed before
-    fitting: "median" (default, robust to corrupted columns), "mean",
-    or "none".
+    ``center`` selects the column offset removed before fitting:
+    "median" (default, the coordinatewise median, robust to corrupted
+    columns) or "none" (no offset).
     """
 
     k: int = 5
@@ -118,7 +117,10 @@ class RplsConfig:
 
 @dataclass
 class RplsState:
-    """All block variables of one solver iteration; ``alpha1 == alpha2``, the one penalty."""
+    """All block variables of one solver iteration; ``alpha1 == alpha2``, the one penalty.
+
+    ``fit`` builds a fresh one each iteration and never changes it after.
+    """
 
     q: np.ndarray         # n x k, orthonormal columns
     lambda_x: np.ndarray  # p x k
@@ -183,34 +185,9 @@ def primal_residual(rx, ry) -> float:
     return float(np.linalg.norm(rx) + np.linalg.norm(ry))
 
 
-def initial_state(n: int, p: int, r: int, cfg: RplsConfig) -> RplsState:
-    """Identity-padded scores, all other blocks zero. ``fit`` never reads this ``q``:
-    its first ``update_q`` sees zero loadings and returns ``procrustes_orthonormal(0) = eye(n, k)``."""
-    return RplsState(
-        q=np.eye(n, cfg.k),
-        lambda_x=np.zeros((p, cfg.k)),
-        lambda_y=np.zeros((r, cfg.k)),
-        delta_x=np.zeros((n, p)),
-        delta_y=np.zeros((n, r)),
-        l=np.zeros((n, p)),
-        m=np.zeros((n, r)),
-        alpha1=cfg.alpha0,
-        alpha2=cfg.alpha0,
-        iteration=0,
-    )
-
-
 def _blocks(flat, n: int, p: int):
     """The X and Y blocks of a stacked ``(1, n*p + n*r)`` row, as C-contiguous views."""
     return flat[0, : n * p].reshape(n, p), flat[0, n * p :].reshape(n, -1)
-
-
-def _column_center(m: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "mean":
-        return m.mean(axis=0)
-    if mode == "median":
-        return np.median(m, axis=0)
-    return np.zeros(m.shape[1])
 
 
 def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
@@ -223,7 +200,8 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
     config : RplsConfig
         Solver hyperparameters; ``config.k`` must not exceed min(n, p).
     callback : callable, optional
-        Called as ``callback(state, residual)`` after every iteration.
+        Called as ``callback(state, residual)`` after every iteration,
+        each time with a new ``RplsState``.
 
     Returns
     -------
@@ -233,19 +211,23 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
         not an error; the model is returned with ``converged=False``.
     """
     x, y = _matched_rows(x, y)
-    x_means = _column_center(x, config.center)
-    y_means = _column_center(y, config.center)
+    if config.center == "median":
+        x_means, y_means = np.median(x, axis=0), np.median(y, axis=0)
+    else:
+        x_means, y_means = np.zeros(x.shape[1]), np.zeros(y.shape[1])
     xc = x - x_means
     yc = y - y_means
 
     cfg = config.resolve(xc, yc)
     n, p = xc.shape
     r = yc.shape[1]
-    state, alpha = initial_state(n, p, r, cfg), cfg.alpha0
+    # Zero loadings start the solver: the first update_q returns
+    # procrustes_orthonormal(0) = eye(n, k).
+    lambda_x, lambda_y, alpha = np.zeros((p, cfg.k)), np.zeros((r, cfg.k)), cfg.alpha0
     data = np.concatenate((xc.ravel(), yc.ravel()))[None, :]  # [Xc Yc]; [Dx Dy] and [l m] laid out alike
     delta, lm = np.zeros_like(data), np.zeros_like(data)
     # Step-local buffers, overwritten every iteration. No state field ever
-    # refers to them, so a callback may keep the state's arrays.
+    # refers to them, so a callback may keep the states and their arrays.
     scaled, ba, z = np.empty_like(data), np.empty_like(data), np.empty_like(data)
     (b, a), (zx, zy) = _blocks(ba, n, p), _blocks(z, n, p)
 
@@ -254,20 +236,18 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
     for it in range(1, cfg.max_iter + 1):
         np.divide(lm, alpha, out=scaled)
         np.subtract(np.add(scaled, data, out=ba), delta, out=ba)
-        state.q = update_q(b, a, state.lambda_x, state.lambda_y, alpha)
+        q = update_q(b, a, lambda_x, lambda_y, alpha)
         tau_x, tau_y = cfg.lambda1 / alpha, cfg.lambda2 / alpha
-        state.lambda_x, state.lambda_y = update_loadings(b, a, state.q, tau_x, tau_y)
-        np.matmul(state.q, state.lambda_x.T, out=zx)
-        np.matmul(state.q, state.lambda_y.T, out=zy)
+        lambda_x, lambda_y = update_loadings(b, a, q, tau_x, tau_y)
+        np.matmul(q, lambda_x.T, out=zx)
+        np.matmul(q, lambda_y.T, out=zy)
         np.subtract(data, z, out=z)
         delta = update_sparse(z, scaled, alpha)
         np.subtract(z, delta, out=z)  # z is now the constraint residual
         lm = update_multipliers(lm, z, alpha)
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
-        state.delta_x, state.delta_y = _blocks(delta, n, p)
-        state.l, state.m = _blocks(lm, n, p)
-        state.alpha1 = state.alpha2 = alpha
-        state.iteration = it
+        state = RplsState(q, lambda_x, lambda_y, *_blocks(delta, n, p), *_blocks(lm, n, p),
+                          alpha, alpha, it)
         residual = primal_residual(zx, zy)
         trace.append((it, residual))
         logger.debug("iteration %d: residual=%.6e alpha=%.3e", it, residual, alpha)

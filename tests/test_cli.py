@@ -222,8 +222,9 @@ class TestFitPredict:
         ('{"k": null}', "k must"), ('{"alpha0": "x"}', "alpha0 must"), ('{"max_iter": 2.5}', "max_iter must"),
         ('{"k": true}', "k must"), ('{"max_iter": true}', "max_iter must"),
         ('{"alpha1_0": 2.0}', "unknown keys in config file: ['alpha1_0']"),
+        ('{"center": "mean"}', "center must"),
     ], ids=["list", "number", "null", "k-null", "alpha0-string", "max_iter-fraction",
-            "k-bool", "max_iter-bool", "alpha1_0-unknown"])
+            "k-bool", "max_iter-bool", "alpha1_0-unknown", "center-mean"])
     def test_bad_config_file_rejected(self, dataset, tmp_path, capsys, text, fragment):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -453,6 +454,12 @@ class TestCliErrors:
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--method", "ridge", "--x", "x.csv", "--y", "y.csv",
+                    "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
+    def test_unknown_center_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--method", "rpls", "--center", "mean", "--x", "x.csv", "--y", "y.csv",
                     "--out-dir", str(tmp_path))
         assert exc.value.code == 2
 

@@ -351,6 +351,8 @@ class TestCompiledPredictor:
         # PLS on an all-zero response stops before its first component.
         x = rng.standard_normal((20, 6))
         factors, linear = fit_pls_nipals(x, np.zeros((20, 1)), 2)
+        assert linear.theta.tobytes() == np.zeros((6, 1)).tobytes() and linear.theta.shape == (6, 1)
+        assert linear.n_components == 0 and factors.scores.shape == (20, 0)
         reg = from_pls(factors, linear.x_means, linear.y_means)
         assert reg.lambda_x.shape == (6, 0)
         np.testing.assert_array_equal(predict_projection(reg, x), np.tile(reg.y_means, (20, 1)))

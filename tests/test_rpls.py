@@ -18,7 +18,6 @@ from robustpls.rpls import (
     RplsConfig,
     RplsState,
     fit,
-    initial_state,
     primal_residual,
     update_loadings,
     update_multipliers,
@@ -60,6 +59,21 @@ def make_state(rng, n=12, p=7, r=3, k=4, alpha=2.0):
         delta_y=rng.standard_normal((n, r)) * 0.1,
         l=rng.standard_normal((n, p)) * 0.05,
         m=rng.standard_normal((n, r)) * 0.05,
+        alpha1=alpha,
+        alpha2=alpha,
+    )
+
+
+def zero_state(n, p, r, k, alpha):
+    """Identity-padded scores, every other block zero."""
+    return RplsState(
+        q=np.eye(n, k),
+        lambda_x=np.zeros((p, k)),
+        lambda_y=np.zeros((r, k)),
+        delta_x=np.zeros((n, p)),
+        delta_y=np.zeros((n, r)),
+        l=np.zeros((n, p)),
+        m=np.zeros((n, r)),
         alpha1=alpha,
         alpha2=alpha,
     )
@@ -121,6 +135,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RplsConfig(k=3, center="quartile")
         with pytest.raises(ConfigError):
+            RplsConfig(k=3, center="mean")
+        with pytest.raises(ConfigError):
             RplsConfig(k=3, max_iter=0)
 
     @pytest.mark.parametrize("field", ["k", "max_iter", "rho", "alpha0", "lambda1", "tol"])
@@ -152,8 +168,7 @@ class TestConfig:
 class TestUpdateQ:
     def test_identity_direction(self, rng):
         n, p, r, k = 8, 5, 2, 3
-        cfg = RplsConfig(k=k)
-        state = initial_state(n, p, r, cfg)
+        state = zero_state(n, p, r, k, 1.0)
         # With all-zero loadings the target matrix is zero: identity padding.
         x = rng.standard_normal((n, p))
         y = rng.standard_normal((n, r))
@@ -242,7 +257,7 @@ class TestUpdateSparse:
     def test_scalar_shrink(self, rng):
         # A residual entry of 5.0 with unit threshold shrinks to 4.0.
         n, p, r, k = 6, 4, 2, 2
-        state = initial_state(n, p, r, RplsConfig(k=k, alpha0=1.0))
+        state = zero_state(n, p, r, k, 1.0)
         x = np.zeros((n, p))
         x[2, 1] = 5.0
         dx, _ = sparse_step(state, x, np.zeros((n, r)))
@@ -278,7 +293,7 @@ class TestMultipliersAndPenalties:
     def test_accumulates_residual(self, rng):
         # Two steps with a constant residual grow the multiplier by alpha*R each.
         n, p, r, k = 5, 4, 2, 2
-        state = initial_state(n, p, r, RplsConfig(k=k, alpha0=1.5))
+        state = zero_state(n, p, r, k, 1.5)
         x = rng.standard_normal((n, p))
         y = np.zeros((n, r))
         rx = x.copy()  # q @ lx.T and delta_x are zero
@@ -470,8 +485,6 @@ class TestFit:
     def test_centering_modes(self, rng):
         x = rng.standard_normal((12, 5)) + 7.0
         y = rng.standard_normal((12, 2)) - 3.0
-        m_mean = fit(x, y, RplsConfig(k=2, center="mean", max_iter=5, tol=1e-300))
-        np.testing.assert_allclose(m_mean.x_means, x.mean(axis=0))
         m_med = fit(x, y, RplsConfig(k=2, center="median", max_iter=5, tol=1e-300))
         np.testing.assert_allclose(m_med.y_means, np.median(y, axis=0))
         m_none = fit(x, y, RplsConfig(k=2, center="none", max_iter=5, tol=1e-300))
@@ -495,6 +508,16 @@ class TestFit:
         for it, arrays in enumerate(kept, start=1):
             for f, (ref, snapshot) in arrays.items():
                 assert ref.tobytes() == snapshot.tobytes(), f"state.{f} of iteration {it} changed"
+
+    def test_callback_gets_a_state_per_iteration(self, rng):
+        # fit builds a new state each iteration, so kept states keep their
+        # own iteration; the model's state is the last one handed out.
+        kept = []
+        model = fit(rng.standard_normal((15, 8)), rng.standard_normal((15, 3)),
+                    RplsConfig(k=3, max_iter=9, tol=1e-300), callback=lambda s, r: kept.append(s))
+        assert [s.iteration for s in kept] == list(range(1, 10))
+        assert len({id(s) for s in kept}) == 9
+        assert model.state is kept[-1]
 
     @pytest.mark.parametrize("problem", ["sparse", "lowtail"])
     def test_canonical_signs_give_the_same_fit(self, monkeypatch, problem):
