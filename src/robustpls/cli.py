@@ -21,7 +21,7 @@ import numpy as np
 
 from . import datagen, evaluate, projection, rpls
 from .errors import RplsError
-from .io import DatasetFile, _not_utf8, format_float, load_csv, load_model, save_model, write_csv
+from .io import DatasetFile, _read_json, _write_text, format_float, load_csv, load_model, save_model, write_csv
 
 # Config-file keys and hyperparameter flags: exactly the fields of RplsConfig.
 HYPER_KEYS = tuple(f.name for f in dataclasses.fields(rpls.RplsConfig))
@@ -61,14 +61,7 @@ def _rpls_config(args) -> rpls.RplsConfig:
     """RplsConfig's defaults < --config file < explicit flags."""
     h = {}
     if args.config:
-        # With or without a byte-order mark, as load_csv reads.
-        with open(args.config, encoding="utf-8-sig") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(args.config, exc) from None
-            except json.JSONDecodeError as exc:
-                raise RplsError(f"{args.config}: invalid JSON: {exc}") from None
+        file_cfg = _read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise RplsError(f"{args.config}: config file must hold a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(HYPER_KEYS)
@@ -159,10 +152,7 @@ def cmd_predict(args) -> int:
 def _write_bench_outputs(out, report, y_test):
     tags = [t for t in report.results]
     r = y_test.shape[1]
-    header = ["row"]
-    header += [f"TRUE_{j+1}" for j in range(r)]
-    for tag in tags:
-        header += [f"{tag}_{j+1}" for j in range(r)]
+    header = ["row"] + [f"{tag}_{j+1}" for tag in ["TRUE", *tags] for j in range(r)]
     lines = [",".join(header)]
     for i in range(y_test.shape[0]):
         cells = [str(i)] + [format_float(v) for v in y_test[i]]
@@ -178,7 +168,7 @@ def _write_bench_outputs(out, report, y_test):
         res = report.results[tag]
         nmse_cells += [format_float(res.nmse) if res.nmse is not None else ""] * r
     lines.append(",".join(nmse_cells))
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "report.csv", "\n".join(lines) + "\n")
 
     doc = {
         "dataset_tag": report.dataset_tag,
@@ -188,7 +178,7 @@ def _write_bench_outputs(out, report, y_test):
             tag: {"nmse": res.nmse, "error": res.error} for tag, res in report.results.items()
         },
     }
-    (out / "report.json").write_text(json.dumps(doc, indent=1) + "\n")
+    _write_text(out / "report.json", json.dumps(doc, indent=1) + "\n")
 
     for tag, res in report.results.items():
         name = tag.lower()

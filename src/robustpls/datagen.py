@@ -131,11 +131,9 @@ def generate(spec: SynthSpec):
     factors = rng.standard_normal((n, k))
     base_loadings = rng.standard_normal((p_base, k)) / np.sqrt(k)
     x_base = factors @ base_loadings.T
-    if spec.n_collinear > 0:
-        mix = rng.standard_normal((p_base, spec.n_collinear)) / np.sqrt(p_base)
-        x = np.hstack([x_base, x_base @ mix])
-    else:
-        x = x_base
+    # With n_collinear = 0 the mix has no columns: its draw takes nothing from the stream.
+    mix = rng.standard_normal((p_base, spec.n_collinear)) / np.sqrt(p_base)
+    x = np.hstack([x_base, x_base @ mix])
 
     n_active = max(1, p // 10)
     theta = np.zeros((p, r))

@@ -21,6 +21,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
+from io import StringIO
 import numpy as np
 
 from .baselines import LinearModel
@@ -142,16 +143,22 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#x})")
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` by the one rule for output files: UTF-8, with ``\\n`` line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_csv(path, matrix, header=None) -> None:
     """Write a matrix as UTF-8 comma-separated values with lossless float formatting."""
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     # A float's repr is format_float's string, which never needs quoting; a
     # row that is not all floats (input of more than two dimensions) raises.
     body = "".join(",".join(map(float.__repr__, row)) + "\n" for row in m.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header is not None:
-            csv.writer(fh, lineterminator="\n").writerow(header)  # as every other file the CLI writes
-        fh.write(body)
+    head = StringIO()
+    if header is not None:
+        csv.writer(head, lineterminator="\n").writerow(header)
+    _write_text(path, head.getvalue() + body)
 
 
 def _float64s(text, key: str) -> np.ndarray:
@@ -253,20 +260,23 @@ def _decode_model(doc: dict):
 
 def save_model(path, model) -> None:
     # json.dumps, unlike json.dump, runs the C encoder for compact output.
-    text = json.dumps(model_to_dict(model), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, json.dumps(model_to_dict(model), separators=(",", ":")) + "\n")
+
+
+def _read_json(path):
+    """The JSON value in ``path`` (UTF-8, byte-order mark optional); a fault is a ``ParseError`` naming ``path``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
 
 
 def load_model(path):
     """Read a model document, with or without a UTF-8 byte-order mark; every ``ParseError`` names ``path``."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+    doc = _read_json(path)
     try:
         return model_from_dict(doc)
     except ParseError as exc:

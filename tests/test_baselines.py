@@ -93,6 +93,15 @@ class TestPcr:
             resids.append(np.linalg.norm(y - predict(model, x)))
         assert all(b <= a + 1e-10 for a, b in zip(resids, resids[1:]))
 
+    def test_numerically_zero_direction_dropped(self, rng):
+        # Centred rank-2 x has no third score direction: PCR with k = 3 drops it and fits as k = 2.
+        x = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 5))
+        y = rng.standard_normal((20, 2))
+        model = fit_pcr(x, y, k=3)
+        assert model.notes == ("1 of 3 score directions numerically zero: dropped",)
+        assert fit_pcr(x, y, k=2).notes == ()
+        np.testing.assert_allclose(model.theta, fit_pcr(x, y, k=2).theta, atol=1e-12)
+
     def test_k_out_of_range(self, rng):
         # PCR and PLS share RplsConfig.resolve's rule and message.
         x = rng.standard_normal((10, 5))

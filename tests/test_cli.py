@@ -1,6 +1,8 @@
 """End-to-end command-line tests."""
 
+import builtins
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -430,6 +432,31 @@ class TestBench:
         expected = run_experiment(x, y, (train, test), ["RPLS_PROJ"]).results["RPLS_PROJ"].predictions
         assert load_csv(out / "predictions_rpls_proj.csv").tobytes() == expected.tobytes()
 
+    def test_failed_method_leaves_blank_cells(self, tmp_path, capsys):
+        # k = 7 exceeds a 6-column x for every latent method; MLR takes no k and still runs.
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "6", "--r", "2", "--k", "2",
+                "--n-collinear", "1", "--seed", "4", "--out-dir", str(data))
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--k", "7", "--out-dir", str(out)) == 0
+        failed = ["PCR", "PLSR", "PLS_PROJ", "RPLS_PROJ"]
+        error = "k must be in [1, 6], got 7"
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0].startswith("MLR: nmse=") and stdout[1:5] == [f"{tag}: failed: {error}" for tag in failed]
+        report = json.loads((out / "report.json").read_text())
+        assert report["methods"]["MLR"]["error"] is None and report["methods"]["MLR"]["nmse"] > 0
+        for tag in failed:
+            assert report["methods"][tag] == {"nmse": None, "error": error}
+        assert sorted(f.name for f in out.glob("predictions_*.csv")) == ["predictions_mlr.csv"]
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        header = rows[0]
+        assert header[3:5] == ["MLR_1", "MLR_2"] and header[5:] == [f"{t}_{j}" for t in failed for j in (1, 2)]
+        assert len(rows) == 1 + 6 + 1 and rows[-1][0] == "NMSE"
+        for row in rows[1:]:
+            assert all(row[3:5]) and row[5:] == [""] * 8
+
 
 class TestOutputFiles:
     def test_every_file_ends_lines_with_newline_only(self, tmp_path):
@@ -448,6 +475,30 @@ class TestOutputFiles:
         assert {"x.csv", "residual_trace.csv", "model.json", "predictions.csv", "report.csv",
                 "report.json"} <= names
         assert [f.relative_to(tmp_path) for f in files if b"\r" in f.read_bytes()] == []
+
+    def test_every_written_file_opened_as_utf8_without_newline_translation(self, tmp_path, monkeypatch):
+        # pathlib opens files through io.open, everything else through builtins.open: both are recorded.
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", "40", "--p", "12", "--r", "2", "--n-collinear", "4",
+                       "--out-dir", str(data)) == 0
+        real_open = builtins.open
+        written = {}
+
+        def recording_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None,
+                           closefd=True, opener=None):
+            if set(mode) & set("wax+"):
+                written[Path(file)] = (encoding, newline)
+            return real_open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        xy = ("--x", str(data / "x.csv"), "--y", str(data / "y.csv"))
+        assert run_cli("fit", *xy, "--method", "rpls", "--k", "3", "--out-dir", str(tmp_path / "fit")) == 0
+        assert run_cli("bench", *xy, "--k", "3", "--out-dir", str(tmp_path / "bench")) == 0
+        monkeypatch.undo()
+        outputs = sorted(f for d in ("fit", "bench") for f in (tmp_path / d).iterdir())
+        assert {"model.json", "residual_trace.csv", "report.csv", "report.json"} <= {f.name for f in outputs}
+        assert written == {f: ("utf-8", "") for f in outputs}
 
 
 class TestCliErrors:
@@ -558,6 +609,26 @@ class TestCliErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("split, message", [
+        ("0", "--split must be in (0, 1), got 0.0"),
+        ("1", "--split must be in (0, 1), got 1.0"),
+        ("1.5", "--split must be in (0, 1), got 1.5"),
+        ("nan", "--split must be in (0, 1), got nan"),
+        ("0.001", "--split 0.001 leaves an empty train or test set for 20 rows"),
+        ("0.999", "--split 0.999 leaves an empty train or test set for 20 rows"),
+    ])
+    def test_bench_split_rejected(self, tmp_path, capsys, split, message):
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "20", "--p", "8", "--r", "2", "--k", "2",
+                "--n-collinear", "2", "--out-dir", str(data))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--split", split, "--out-dir", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "report.json").exists()
 
     def test_nonconvergence_still_succeeds(self, tmp_path, capsys):
         data = tmp_path / "data"

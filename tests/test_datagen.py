@@ -115,6 +115,25 @@ class TestGenerate:
         coef, *_ = np.linalg.lstsq(base, extra, rcond=None)
         np.testing.assert_allclose(base @ coef, extra, atol=1e-8)
 
+    def test_no_collinear_columns(self):
+        spec = SynthSpec(n=30, p=8, r=2, k_true=3, n_collinear=0, seed=6)
+        x, y, truth = generate(spec)
+        assert x.shape == (30, 8) and y.shape == (30, 2) and truth.loadings.shape == (8, 3)
+        assert x.flags.c_contiguous
+        assert np.linalg.matrix_rank(x) == 3
+        again = generate(spec)
+        assert x.tobytes() == again[0].tobytes() and y.tobytes() == again[1].tobytes()
+        assert truth.theta_true.tobytes() == again[2].theta_true.tobytes()
+        # The zero-width mix draws nothing: x is the base product, and theta comes from the next draws.
+        rng = rng_from_seed(6)
+        factors = rng.standard_normal((30, 3))
+        assert x.tobytes() == (factors @ (rng.standard_normal((8, 3)) / np.sqrt(3)).T).tobytes()
+        theta = np.zeros((8, 2))
+        for j in range(2):
+            support = rng.choice(8, size=1, replace=False)
+            theta[support, j] = rng.standard_normal(1)
+        assert truth.theta_true.tobytes() == theta.tobytes()
+
 
 class TestInjectSparse:
     def test_zero_fraction_noop(self):

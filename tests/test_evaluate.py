@@ -191,6 +191,8 @@ class TestRunExperiment:
         x, y, _ = generate(SynthSpec(n=30, p=10, n_collinear=2, seed=27))
         with pytest.raises(ConfigError):
             run_experiment(x, y, ([0, 1], [1, 2]), ["MLR"])
+        with pytest.raises(ConfigError, match="^split indices must be non-empty 1-D sequences$"):
+            run_experiment(x, y, ([], [2]), ["MLR"])
         with pytest.raises(ConfigError):
             run_experiment(x, y, ([0, 1], [45]), ["MLR"])
         with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import pytest
 
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls.linalg import (
+    as_matrix,
     procrustes_orthonormal,
     singular_value_threshold,
     soft_threshold,
@@ -12,6 +13,17 @@ from robustpls.linalg import (
 )
 
 from conftest import random_orthonormal
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), "x must be 2-D, got ndim=1"),
+        ((2, 2, 2), "x must be 2-D, got ndim=3"),
+        ((0, 3), r"x must have at least one row and column, got shape \(0, 3\)"),
+    ], ids=["1-D", "3-D", "no-rows"])
+    def test_rejects_bad_shapes(self, shape, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            as_matrix(np.zeros(shape), "x")
 
 
 class TestSoftThreshold:
@@ -180,6 +192,11 @@ class TestSingularValueThreshold:
         s_in = np.linalg.svd(m, compute_uv=False)
         s_out = np.linalg.svd(singular_value_threshold(m, tau), compute_uv=False)
         assert s_out.sum() <= max(0.0, s_in.sum() - tau * np.count_nonzero(s_in > tau)) + 1e-9
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(InvalidInputError, match=f"^tau must be a nonnegative finite real, got {tau!r}$"):
+            singular_value_threshold(np.eye(2), tau)
 
 
 class TestProcrustes:

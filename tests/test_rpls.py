@@ -132,6 +132,10 @@ class TestConfig:
             RplsConfig(k=3, lambda1=-1.0)
         with pytest.raises(ConfigError):
             RplsConfig(k=3, alpha0=2.0, alpha_max=1.0)
+        with pytest.raises(ConfigError, match=r"^alpha0 must be positive, got 0\.0$"):
+            RplsConfig(alpha0=0.0)
+        with pytest.raises(ConfigError, match=r"^alpha_max must be positive, got -1\.0$"):
+            RplsConfig(alpha_max=-1.0)
         with pytest.raises(ConfigError):
             RplsConfig(k=3, center="quartile")
         with pytest.raises(ConfigError):
