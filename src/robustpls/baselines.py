@@ -114,7 +114,7 @@ def fit_pcr(x, y, k: int) -> LinearModel:
         x_means=x_means,
         y_means=y_means,
         method_tag="PCR",
-        n_components=k,
+        n_components=int(keep.sum()),
         notes=notes,
     )
 
@@ -171,12 +171,10 @@ def fit_pls_nipals(x, y, k: int):
         x_loadings=np.column_stack([np.zeros((p, 0)), *x_loadings]),
         y_loadings=np.column_stack([np.zeros((r, 0)), *y_loadings]),
     )
+    # P^T W is unit upper triangular (p_j.w_j = 1, and deflation gives
+    # X_i w_j = 0 for i > j), so the solve never meets a zero pivot.
     pw = factors.x_loadings.T @ factors.weights
-    try:
-        theta = factors.weights @ np.linalg.solve(pw, factors.y_loadings.T)
-    except np.linalg.LinAlgError:
-        theta = factors.weights @ np.linalg.pinv(pw, rcond=RANK_RCOND) @ factors.y_loadings.T
-        notes = notes + ("singular loading-weight product: pseudoinverse composition",)
+    theta = factors.weights @ np.linalg.solve(pw, factors.y_loadings.T)
 
     model = LinearModel(
         theta=theta,

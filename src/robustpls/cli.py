@@ -95,55 +95,53 @@ def _load_xy(args):
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = datagen.SynthSpec(
         n=args.n, p=args.p, r=args.r, k_true=args.k, n_collinear=args.n_collinear,
         noise_sigma=args.noise_sigma, seed=args.seed,
     )
     x, y, truth = datagen.generate(spec)
+    files = {}
     if args.outliers != "none":
-        write_csv(out / "x_clean.csv", x)
-        write_csv(out / "y_clean.csv", y)
+        files = {"x_clean.csv": x, "y_clean.csv": y}
         x, y, mask = _corrupt(args, x, y)
         if mask.x is not None:
-            write_csv(out / "mask_x.csv", mask.x.astype(float))
-        write_csv(out / "mask_y.csv", mask.y.astype(float))
-    write_csv(out / "x.csv", x)
-    write_csv(out / "y.csv", y)
-    write_csv(out / "truth_scores.csv", truth.q_true)
-    write_csv(out / "truth_loadings.csv", truth.loadings)
-    write_csv(out / "truth_theta.csv", truth.theta_true)
+            files["mask_x.csv"] = mask.x.astype(float)
+        files["mask_y.csv"] = mask.y.astype(float)
+    files.update({"x.csv": x, "y.csv": y, "truth_scores.csv": truth.q_true,
+                  "truth_loadings.csv": truth.loadings, "truth_theta.csv": truth.theta_true})
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, matrix in files.items():
+        write_csv(out / name, matrix)
     print(f"wrote synthetic dataset ({spec.n}x{spec.p} predictors, {spec.r} responses) to {out}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    x, y = _load_xy(args)
     cfg = _rpls_config(args)
+    x, y = _load_xy(args)
     model, _ = evaluate.METHODS[args.method].fit(x, y, cfg)
+    trace = None
     if isinstance(model, rpls.RplsModel):
-        write_csv(
-            out / "residual_trace.csv",
-            np.array(model.residual_trace, dtype=np.float64),
-            header=["iteration", "primal_residual"],
-        )
+        trace = np.array(model.residual_trace, dtype=np.float64)
         if not model.converged:
             print(f"warning: not converged within {model.config.max_iter} iterations", file=sys.stderr)
         model = projection.from_rpls(model)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if trace is not None:
+        write_csv(out / "residual_trace.csv", trace, header=["iteration", "primal_residual"])
     save_model(out / "model.json", model)
     print(f"wrote {out / 'model.json'}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = load_model(args.model)
     x_new = load_csv(DatasetFile(args.x, has_header=args.has_header))
     y_hat = evaluate.predict_model(model, x_new)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "predictions.csv", y_hat)
     print(f"wrote {out / 'predictions.csv'}")
     return 0
@@ -199,16 +197,15 @@ def _write_bench_outputs(out, report, y_test):
 
 
 def cmd_bench(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    x, y = _load_xy(args)
-    n = x.shape[0]
     if not 0.0 < args.split < 1.0:
         raise RplsError(f"--split must be in (0, 1), got {args.split}")
     method_keys = [m.strip() for m in args.methods.split(",") if m.strip()]
     evaluate._check_methods(method_keys, evaluate.METHODS, "--methods")
     tags = [evaluate.METHODS[m].tag for m in method_keys]
+    cfg = _rpls_config(args)
 
+    x, y = _load_xy(args)
+    n = x.shape[0]
     perm = datagen.rng_from_seed(args.seed).permutation(n)
     n_train = int(round(args.split * n))
     if n_train < 1 or n_train >= n:
@@ -220,8 +217,9 @@ def cmd_bench(args) -> int:
         x, y = x.copy(), y.copy()
         x[train], y[train] = x_tr, y_tr
 
-    cfg = _rpls_config(args)
     report = evaluate.run_experiment(x, y, (train, test), tags, cfg, dataset_tag=Path(args.x).name)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_bench_outputs(out, report, y[test])
     for tag in tags:
         res = report.results[tag]

@@ -99,6 +99,7 @@ class TestPcr:
         y = rng.standard_normal((20, 2))
         model = fit_pcr(x, y, k=3)
         assert model.notes == ("1 of 3 score directions numerically zero: dropped",)
+        assert model.n_components == 2 == fit_pls_nipals(x, y, k=3)[1].n_components
         assert fit_pcr(x, y, k=2).notes == ()
         np.testing.assert_allclose(model.theta, fit_pcr(x, y, k=2).theta, atol=1e-12)
 
@@ -165,6 +166,33 @@ class TestPls:
         assert model.n_components == 1
         assert factors.weights.shape == (5, 1)
         assert model.notes
+
+    def test_zero_score_variance_stops(self, rng):
+        # Scores of x ~ 1e-170 square below the smallest float64, while X^T Y stays normal.
+        x = 1e-170 * rng.standard_normal((20, 5))
+        y = 1e200 * rng.standard_normal((20, 1))
+        factors, model = fit_pls_nipals(x, y, k=2)
+        assert model.n_components == 0
+        assert model.notes == ("zero score variance after 0 of 2 components",)
+        assert factors.weights.shape == (5, 0)
+        assert not model.theta.any()
+
+    @pytest.mark.parametrize("n, p, rank, x_scale, y_scale", [
+        (40, 8, 8, 1.0, 1.0),
+        (12, 30, 12, 1.0, 1.0),
+        (40, 8, 3, 1.0, 1.0),
+        (30, 20, 2, 1e8, 1e-8),
+        (30, 20, 5, 1e-8, 1e8),
+    ], ids=["full-rank", "wide", "rank-3", "rank-2-scaled", "rank-5-scaled"])
+    def test_loading_weight_product_unit_upper_triangular(self, rng, n, p, rank, x_scale, y_scale):
+        # Why the composition solve needs no fallback: p_j.w_j = 1, and
+        # deflation gives X_i w_j = 0 for i > j, so P^T W has no zero pivot.
+        x = x_scale * rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        y = y_scale * rng.standard_normal((n, 2))
+        factors, model = fit_pls_nipals(x, y, k=min(n, p))
+        pw = factors.x_loadings.T @ factors.weights
+        assert model.n_components >= 1
+        np.testing.assert_allclose(np.tril(pw), np.eye(model.n_components), rtol=0, atol=1e-12)
 
     def test_scores_match_deflation(self, rng):
         x = rng.standard_normal((25, 6))

@@ -432,6 +432,20 @@ class TestBench:
         expected = run_experiment(x, y, (train, test), ["RPLS_PROJ"]).results["RPLS_PROJ"].predictions
         assert load_csv(out / "predictions_rpls_proj.csv").tobytes() == expected.tobytes()
 
+    def test_no_ellipse_is_a_warning(self, tmp_path, capsys):
+        # A 40% split of 5 rows leaves 2 training rows: too few score rows for an ellipse.
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", "5", "--p", "6", "--r", "1", "--k", "2",
+                       "--n-collinear", "1", "--seed", "3", "--out-dir", str(data)) == 0
+        capsys.readouterr()
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--split", "0.4", "--k", "2", "--out-dir", str(out)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: no ellipse for pcr: need at least 3 score rows, got 2" in err
+        assert (out / "scores_pcr.csv").exists()
+        assert not (out / "ellipse_pcr.csv").exists()
+
     def test_failed_method_leaves_blank_cells(self, tmp_path, capsys):
         # k = 7 exceeds a 6-column x for every latent method; MLR takes no k and still runs.
         data = tmp_path / "data"
@@ -502,6 +516,29 @@ class TestOutputFiles:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--outliers", "lowtail", "--tail-fraction", "2"],
+        ["synth", "--n", "0"],
+        ["fit", "--method", "plsr", "--x", "{x}", "--y", "{y}", "--k", "9"],
+        ["fit", "--method", "rpls", "--x", "{x}", "--y", "{y}", "--config", "{missing}"],
+        ["fit", "--method", "mlr", "--x", "{missing}", "--y", "{y}"],
+        ["predict", "--model", "{missing}", "--x", "{x}"],
+        ["bench", "--x", "{x}", "--y", "{y}", "--methods", "ols"],
+        ["bench", "--x", "{x}", "--y", "{y}", "--outliers", "sparse", "--outlier-fraction", "3"],
+    ], ids=["synth-tail-fraction", "synth-n", "fit-k", "fit-config", "fit-x", "predict-model",
+            "bench-methods", "bench-outlier-fraction"])
+    def test_rejected_run_makes_no_out_dir(self, tmp_path, capsys, argv):
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "6", "--r", "2", "--k", "2",
+                "--n-collinear", "1", "--out-dir", str(data))
+        capsys.readouterr()
+        paths = {"x": data / "x.csv", "y": data / "y.csv", "missing": tmp_path / "missing.json"}
+        out = tmp_path / "out"
+        assert run_cli(*[a.format(**paths) for a in argv], "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--method", "ridge", "--x", "x.csv", "--y", "y.csv",
@@ -577,7 +614,7 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--methods" in err[0]
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("methods, keys", [("", []), ("rpls,rpls", ["rpls", "rpls"]),
                                                ("mlr, ols", ["mlr", "ols"])],
@@ -608,7 +645,7 @@ class TestCliErrors:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
-        assert not any(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("split, message", [
         ("0", "--split must be in (0, 1), got 0.0"),
@@ -628,7 +665,7 @@ class TestCliErrors:
                        "--split", split, "--out-dir", str(out))
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_nonconvergence_still_succeeds(self, tmp_path, capsys):
         data = tmp_path / "data"
