@@ -7,7 +7,7 @@ inputs through ``predict``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +26,15 @@ __all__ = [
 # Relative singular-value cutoff below which directions count as rank-deficient.
 RANK_RCOND = 1e-12
 
-# Prediction centers a large batch this many bytes of rows at a time, so the
-# block stays in a core's L2 cache (2 MiB on the x86 host it was tuned on)
-# between the subtraction that writes it and the product that reads it; a
-# full centered copy of a wide batch goes out to memory and comes back.
-BLOCK_BYTES = 512 * 1024
-
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear predictor ``y_hat = (x - x_means) @ theta + y_means``."""
+    """Linear predictor ``y_hat = (x - x_means) @ theta + y_means``.
+
+    Construction folds both means into ``offset = x_means @ theta - y_means``
+    (derived, never serialized, not finite where it overflows float64), and
+    ``predict`` computes ``x @ theta - offset``.
+    """
 
     theta: np.ndarray     # p x r
     x_means: np.ndarray   # (p,)
@@ -43,6 +42,7 @@ class LinearModel:
     method_tag: str
     n_components: int = 0
     notes: tuple = ()
+    offset: np.ndarray = field(init=False, repr=False)  # (r,)
 
     # Construction rejects arrays that disagree in these axes or are not finite.
     AXES = {"theta": "pr", "x_means": "p", "y_means": "r"}
@@ -52,6 +52,8 @@ class LinearModel:
         if self.method_tag not in ("MLR", "PCR", "PLSR"):
             raise ConfigError(f"method_tag must be MLR, PCR or PLSR, got {self.method_tag!r}")
         check_fields(self, integers=(("n_components", 0),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "offset", np.dot(self.x_means, self.theta) - self.y_means)
 
 
 @dataclass(frozen=True)
@@ -187,38 +189,22 @@ def fit_pls_nipals(x, y, k: int):
     return factors, model
 
 
-def _centered_product(x_new, x_means, matrix) -> np.ndarray:
-    """``(x_new - x_means) @ matrix`` for checked rows; shared with projection.
+def _affine(x_new, matrix, offset) -> np.ndarray:
+    """``x_new @ matrix - offset`` for checked rows: the one prediction apply.
 
-    A batch whose centered copy fits in ``BLOCK_BYTES`` takes that expression
-    as written. A larger one is centered a block of rows at a time into one
-    reused buffer, and each block is multiplied into its rows of the output.
+    The model compiled ``offset``, so no centered copy of the batch is made.
+    This intercept form rounds at the scale of ``|x_new|``, not ``|x_new -
+    x_means|``. A batch in another layout is copied to C order first, so it
+    gives the bits of its C copy.
     """
-    x_new = as_matrix(x_new, "x_new")
-    n, p = x_new.shape
-    if p != matrix.shape[0]:
-        raise DimensionError(f"x_new has {p} columns, model expects {matrix.shape[0]}")
-    if x_new.nbytes <= BLOCK_BYTES:
-        # One pass of the loop gives the same bits, but its buffer, output
-        # and slices cost ~2 us a call: through the loop, one-row predicts
-        # read 1.24-1.28x slower (perfbench `predict_row_us`, five paired
-        # 55 s runs per workload on a 2-vCPU x86 host, 10 of 10 pairs).
-        # ``np.dot`` hands two 2-D float64 operands to the same BLAS routine
-        # as ``@`` (byte-equal results) with less dispatch per call.
-        return np.dot(np.subtract(x_new, x_means), matrix)
-    rows = max(1, BLOCK_BYTES // (8 * p))
-    buf = np.empty((rows, p))
-    out = np.empty((n, matrix.shape[1]))
-    for start in range(0, n, rows):
-        chunk = x_new[start : start + rows]
-        block = np.subtract(chunk, x_means, out=buf[: len(chunk)])
-        np.matmul(block, matrix, out=out[start : start + rows])
+    x_new = np.ascontiguousarray(as_matrix(x_new, "x_new"))
+    if x_new.shape[1] != matrix.shape[0]:
+        raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")
+    out = np.dot(x_new, matrix)
+    out -= offset
     return out
 
 
 def predict(model: LinearModel, x_new) -> np.ndarray:
     """Apply a fitted linear model to new rows."""
-    # Adding the offsets in place is the same IEEE sum without a fresh array.
-    out = _centered_product(x_new, model.x_means, model.theta)
-    out += model.y_means
-    return out
+    return _affine(x_new, model.theta, model.offset)

@@ -72,8 +72,8 @@ def _rpls_config(args) -> rpls.RplsConfig:
     return rpls.RplsConfig(**h)
 
 
-def _corrupt(args, x, y):
-    """Corrupted copies of x and y under the --outliers regime, and its CorruptionMask."""
+def _outlier_spec(args):
+    """The OutlierSpec of the outlier flags, checked under every regime; None under ``--outliers none``."""
     spec = datagen.OutlierSpec(
         kind=datagen.SPARSE_RANDOM if args.outliers == "sparse" else datagen.LOW_TAIL,
         fraction=args.outlier_fraction,
@@ -82,6 +82,11 @@ def _corrupt(args, x, y):
         tail_multiplier=args.tail_multiplier,
         seed=args.seed,
     )
+    return None if args.outliers == "none" else spec
+
+
+def _corrupt(spec, x, y):
+    """Corrupted copies of x and y under ``spec``, and its CorruptionMask."""
     if spec.kind == datagen.SPARSE_RANDOM:
         return datagen.inject_sparse(x, y, spec)
     y, mask = datagen.inject_low_tail(y, spec)
@@ -99,11 +104,12 @@ def cmd_synth(args) -> int:
         n=args.n, p=args.p, r=args.r, k_true=args.k, n_collinear=args.n_collinear,
         noise_sigma=args.noise_sigma, seed=args.seed,
     )
+    outliers = _outlier_spec(args)
     x, y, truth = datagen.generate(spec)
     files = {}
-    if args.outliers != "none":
+    if outliers is not None:
         files = {"x_clean.csv": x, "y_clean.csv": y}
-        x, y, mask = _corrupt(args, x, y)
+        x, y, mask = _corrupt(outliers, x, y)
         if mask.x is not None:
             files["mask_x.csv"] = mask.x.astype(float)
         files["mask_y.csv"] = mask.y.astype(float)
@@ -203,6 +209,7 @@ def cmd_bench(args) -> int:
     evaluate._check_methods(method_keys, evaluate.METHODS, "--methods")
     tags = [evaluate.METHODS[m].tag for m in method_keys]
     cfg = _rpls_config(args)
+    outliers = _outlier_spec(args)
 
     x, y = _load_xy(args)
     n = x.shape[0]
@@ -212,8 +219,8 @@ def cmd_bench(args) -> int:
         raise RplsError(f"--split {args.split} leaves an empty train or test set for {n} rows")
     train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
-    if args.outliers != "none":
-        x_tr, y_tr, _ = _corrupt(args, x[train], y[train])
+    if outliers is not None:
+        x_tr, y_tr, _ = _corrupt(outliers, x[train], y[train])
         x, y = x.copy(), y.copy()
         x[train], y[train] = x_tr, y_tr
 

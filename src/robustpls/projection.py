@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RANK_RCOND, PlsFactors, _centered_product
+from .baselines import RANK_RCOND, PlsFactors, _affine
 from .errors import ConfigError
 from .linalg import _check_arrays, svd
 from .rpls import RplsModel
@@ -46,10 +46,12 @@ class ProjectionRegressor:
     keeping only the directions of ``lambda_x`` whose gain exceeds
     ``RANK_RCOND`` times the largest and whose inverse gain is a finite
     float64. With none left (k = 0 or all-zero loadings) ``w`` is zero and
-    predictions are ``y_means``. ``w`` is derived and never serialized. The
-    compile also owns the rank notes: it drops any ``ZERO_NOTE`` or
-    ``DEFICIENT_NOTE`` it was given and appends the one that holds for
-    these loadings.
+    predictions are ``y_means``. It also folds the predictor means into the
+    score intercept ``offset = x_means @ w`` (k,), which is not finite
+    where it overflows float64. ``w`` and ``offset`` are derived and never
+    serialized. The compile also owns the rank notes: it drops any
+    ``ZERO_NOTE`` or ``DEFICIENT_NOTE`` it was given and appends the one
+    that holds for these loadings.
     """
 
     lambda_x: np.ndarray  # p x k
@@ -59,6 +61,7 @@ class ProjectionRegressor:
     source_tag: str       # "RPLS" or "PLS"
     notes: tuple = ()
     w: np.ndarray = field(init=False, repr=False)  # p x k
+    offset: np.ndarray = field(init=False, repr=False)  # (k,)
 
     # Construction rejects arrays that disagree in these axes or are not finite.
     AXES = {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"}
@@ -83,6 +86,8 @@ class ProjectionRegressor:
         elif not keep.all():
             notes += (DEFICIENT_NOTE,)
         object.__setattr__(self, "w", np.ldexp((u[:, keep] / s[keep]) @ vt[keep], -e))
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "offset", np.dot(self.x_means, self.w))
         object.__setattr__(self, "notes", notes)
 
 
@@ -133,10 +138,11 @@ def from_pls(factors: PlsFactors, x_means, y_means) -> ProjectionRegressor:
 def project(reg: ProjectionRegressor, x_new) -> np.ndarray:
     """Latent scores of new rows: least-squares fit of ``q @ lambda_x.T``.
 
-    Computed as ``(x_new - x_means) @ w`` through the compiled
-    pseudoinverse, so numerically dead directions contribute zero score.
+    Computed as ``x_new @ w - offset``, which is ``(x_new - x_means) @ w``
+    up to rounding, through the compiled pseudoinverse, so numerically dead
+    directions contribute zero score.
     """
-    return _centered_product(x_new, reg.x_means, reg.w)
+    return _affine(x_new, reg.w, reg.offset)
 
 
 def predict_projection(reg: ProjectionRegressor, x_new) -> np.ndarray:

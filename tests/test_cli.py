@@ -539,6 +539,28 @@ class TestCliErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("regime", ["none", "sparse", "lowtail"])
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--outlier-fraction", "3", "fraction must be in [0, 1], got 3.0"),
+        ("--tail-fraction", "-0.5", "tail_fraction must be in [0, 1], got -0.5"),
+        ("--tail-multiplier", "0", "tail_multiplier must be nonzero"),
+        ("--outlier-magnitude", "nan", "magnitude must be a finite number, got nan"),
+    ], ids=["outlier-fraction", "tail-fraction", "tail-multiplier", "outlier-magnitude"])
+    def test_outlier_flags_checked_before_data(self, tmp_path, capsys, monkeypatch, regime, command,
+                                               flag, value, match):
+        # Under every regime, a bad outlier flag is reported before data are
+        # generated (synth) or read (bench reads a missing file here).
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated before the outlier flags were checked")
+
+        monkeypatch.setattr("robustpls.datagen.generate", no_data)
+        inputs = [] if command == "synth" else ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")]
+        out = tmp_path / "out"
+        assert run_cli(command, *inputs, "--outliers", regime, flag, value, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {match}"]
+        assert not out.exists()
+
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--method", "ridge", "--x", "x.csv", "--y", "y.csv",

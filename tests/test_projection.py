@@ -1,13 +1,12 @@
 """Projection-regression tests: score recovery, prediction identities, screening."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from robustpls.baselines import BLOCK_BYTES, RANK_RCOND, LinearModel, PlsFactors, fit_pls_nipals, predict
+from robustpls.baselines import RANK_RCOND, LinearModel, PlsFactors, fit_pls_nipals, predict
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail, rng_from_seed
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls import projection
@@ -257,10 +256,12 @@ class TestCompiledPredictor:
     def test_compiled_map_not_serialized(self, rng, tmp_path):
         reg = make_regressor(rng)
         doc = model_to_dict(reg)
-        assert "w" not in doc and "theta" not in doc
+        assert "w" not in doc and "offset" not in doc and "theta" not in doc
         path = tmp_path / "model.json"
         save_model(path, reg)
-        np.testing.assert_array_equal(load_model(path).w, reg.w)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.w, reg.w)
+        np.testing.assert_array_equal(loaded.offset, reg.offset)
 
     def test_predict_goes_through_project(self, rng, monkeypatch):
         # Prediction maps the latent scores of project through the y-loadings.
@@ -364,18 +365,21 @@ class TestCompiledPredictor:
         np.testing.assert_array_equal(predict_projection(loaded, x), predict_projection(reg, x))
 
 
-def blocked_models(rng, p, r=2, k=3, zero=False):
-    """A linear model and a projection regressor over p columns, with the
-    direct expression of each: ``(x - x_means) @ M``, then the model's
-    response map."""
+def apply_models(rng, p, r=2, k=3, zero=False):
+    """A linear model and a projection regressor over p columns, each with
+    its plain expression ``np.dot(x, M) - offset`` (then the model's response
+    map), its centered expression ``(x - x_means) @ M`` (likewise) and its
+    response means."""
     theta = np.zeros((p, r)) if zero else rng.standard_normal((p, r))
     linear = LinearModel(theta=theta, x_means=rng.standard_normal(p) + 3.0,
                          y_means=rng.standard_normal(r), method_tag="MLR")
     reg = pls_regressor(rng, np.zeros((p, k)) if zero else rng.standard_normal((p, k)), r=r)
     return {
         "linear": (lambda x: predict(linear, x),
+                   lambda x: np.dot(x, linear.theta) - linear.offset,
                    lambda x: (x - linear.x_means) @ linear.theta + linear.y_means, linear.y_means),
         "projection": (lambda x: predict_projection(reg, x),
+                       lambda x: (np.dot(x, reg.w) - reg.offset) @ reg.lambda_y.T + reg.y_means,
                        lambda x: ((x - reg.x_means) @ reg.w) @ reg.lambda_y.T + reg.y_means, reg.y_means),
     }
 
@@ -384,52 +388,52 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-# 401 columns: a block holds 163 rows, so 500 rows are three blocks and 11 rows.
-P, ROWS = 401, BLOCK_BYTES // (8 * 401)
+# A spectrum-wide batch: 401 columns, as in the NIR shape.
+P = 401
 
 
 @pytest.mark.parametrize("kind", ["linear", "projection"])
 class TestBlockedApply:
-    def test_several_blocks_agree_with_direct_expression(self, rng, kind):
-        apply, direct, _ = blocked_models(rng, P)[kind]
-        x = rng.standard_normal((500, P)) * 10.0 + 3.0
-        assert x.nbytes > BLOCK_BYTES and 500 % ROWS
-        assert_close(apply(x), direct(x))
+    """The one uncentered apply, from one row to batches of several MiB."""
 
-    @pytest.mark.parametrize("n", [1, 7, ROWS])
-    def test_one_block_is_bit_identical(self, rng, kind, n):
-        apply, direct, _ = blocked_models(rng, P)[kind]
+    def test_several_blocks_agree_with_direct_expression(self, rng, kind):
+        apply, _, centered, _ = apply_models(rng, P)[kind]
+        x = rng.standard_normal((500, P)) * 10.0 + 3.0
+        assert_close(apply(x), centered(x))
+
+    @pytest.mark.parametrize("n", [1, 7, 163, 500])
+    def test_is_the_plain_product(self, rng, kind, n):
+        apply, plain, _, _ = apply_models(rng, P)[kind]
         x = rng.standard_normal((n, P))
-        assert x.nbytes <= BLOCK_BYTES
-        np.testing.assert_array_equal(apply(x), direct(x))
+        np.testing.assert_array_equal(apply(x), plain(x))
 
     def test_fortran_order(self, rng, kind):
-        apply, direct, _ = blocked_models(rng, P)[kind]
+        apply, _, centered, _ = apply_models(rng, P)[kind]
         x = rng.standard_normal((500, P))
         got = apply(np.asfortranarray(x))
         np.testing.assert_array_equal(got, apply(x))
-        assert_close(got, direct(x))
+        assert_close(got, centered(x))
 
     def test_row_wider_than_a_block(self, rng, kind):
-        p = BLOCK_BYTES // 8 + 3  # one row per block
-        apply, direct, _ = blocked_models(rng, p, k=1)[kind]
+        p = 64 * 1024 + 3  # one row of just over 512 KiB
+        apply, _, centered, _ = apply_models(rng, p, k=1)[kind]
         x = rng.standard_normal((3, p))
-        assert_close(apply(x), direct(x))
+        assert_close(apply(x), centered(x))
 
     def test_no_direction_left_predicts_offsets(self, rng, kind):
-        apply, _, y_means = blocked_models(rng, P, zero=True)[kind]
+        apply, _, _, y_means = apply_models(rng, P, zero=True)[kind]
         x = rng.standard_normal((500, P))
         np.testing.assert_array_equal(apply(x), np.tile(y_means, (500, 1)))
 
     def test_nan_in_last_block_rejected(self, rng, kind):
-        apply, _, _ = blocked_models(rng, P)[kind]
+        apply, _, _, _ = apply_models(rng, P)[kind]
         x = rng.standard_normal((500, P))
         x[-1, -1] = np.nan
         with pytest.raises(InvalidInputError, match="x_new contains non-finite entries"):
             apply(x)
 
     def test_column_mismatch_text(self, rng, kind):
-        apply, _, _ = blocked_models(rng, P)[kind]
+        apply, _, _, _ = apply_models(rng, P)[kind]
         with pytest.raises(DimensionError, match="^x_new has 400 columns, model expects 401$"):
             apply(rng.standard_normal((500, P - 1)))
 
@@ -441,18 +445,17 @@ def test_no_direction_at_k0_predicts_offsets(rng):
     np.testing.assert_array_equal(predict_projection(reg, x), np.tile(reg.y_means, (500, 1)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=st.integers(1, 700), blocks=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
-def test_blocked_apply_around_block_boundary(p, blocks, seed):
-    # n runs from one row to three blocks of rows, so it crosses the
-    # one-block boundary and ends full and partial last blocks.
-    rows = BLOCK_BYTES // (8 * p)
-    n = max(1, round(blocks * rows))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, p)) + 2.0
-    for apply, direct, _ in blocked_models(rng, p).values():
-        got = apply(x)
-        if x.nbytes <= BLOCK_BYTES:
-            np.testing.assert_array_equal(got, direct(x))
-        else:
-            assert_close(got, direct(x))
+@pytest.mark.parametrize("kind", ["linear", "projection"])
+def test_apply_makes_no_batch_sized_temporary(rng, kind):
+    # Only as_matrix's finiteness mask (x.nbytes / 8) scales with the batch:
+    # no centered copy or other (n, p) float array is made.
+    apply, _, _, _ = apply_models(rng, P, k=5)[kind]
+    x = rng.standard_normal((2000, P))
+    apply(x[:1])  # warm up any one-time allocation
+    tracemalloc.start()
+    try:
+        apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
