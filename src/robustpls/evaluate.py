@@ -177,12 +177,21 @@ def _check_methods(names, known, label: str) -> None:
 
 
 def predict_model(model, x_new) -> np.ndarray:
-    """Predictions of any fitted model kind: robust, projection or linear."""
+    """Predictions of any fitted model kind: robust, projection or linear.
+
+    Raises ``InvalidInputError`` when a prediction is not finite: the model
+    and the rows overflow float64, as a model at the float64 limits can.
+    """
     if isinstance(model, rpls.RplsModel):
         model = projection.from_rpls(model)
-    if isinstance(model, projection.ProjectionRegressor):
-        return projection.predict_projection(model, x_new)
-    return baselines.predict(model, x_new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, projection.ProjectionRegressor):
+            y_hat = projection.predict_projection(model, x_new)
+        else:
+            y_hat = baselines.predict(model, x_new)
+    if not np.isfinite(y_hat).all():
+        raise InvalidInputError("a prediction is not finite: the model and the rows overflow float64")
+    return y_hat
 
 
 def run_experiment(

@@ -140,8 +140,9 @@ def soft_threshold(k, eps: float) -> np.ndarray:
     if not math.isfinite(eps) or eps < 0:
         raise InvalidInputError(f"eps must be a nonnegative finite real, got {eps!r}")
     # m - clip(m, ±eps) is m ∓ eps outside the band and a zero inside it;
-    # copysign gives each zero the sign of its input.
-    out = np.clip(m, -eps, eps)
+    # copysign gives each zero the sign of its input. ``m.clip`` runs the
+    # ufunc that ``np.clip`` runs, without its dispatch.
+    out = m.clip(-eps, eps)
     np.subtract(m, out, out=out)
     return np.copysign(out, m, out=out)
 
@@ -152,9 +153,21 @@ def singular_value_threshold(a, tau: float) -> np.ndarray:
     This is the proximal operator of ``tau * ||.||_*``: the output has
     singular values ``max(s_i - tau, 0)`` with the singular vectors of
     the input.
+
+    A one-row or one-column block has one singular value, its Euclidean
+    norm ``sigma``, so it is shrunk in closed form, without an SVD:
+    ``a * (max(sigma - tau, 0) / sigma)``, and zeros for a zero block.
+    ``math.hypot`` takes the norm without overflow or underflow.
     """
     if not math.isfinite(tau) or tau < 0:
         raise InvalidInputError(f"tau must be a nonnegative finite real, got {tau!r}")
+    shape = np.shape(a)
+    if len(shape) == 2 and min(shape) == 1:
+        m = as_matrix(a)
+        sigma = math.hypot(*m.ravel().tolist())
+        if sigma == 0.0:
+            return np.zeros_like(m)
+        return m * (max(sigma - tau, 0.0) / sigma)
     f = svd(a, canonical_signs=False)
     s_shrunk = np.maximum(f.s - tau, 0.0)
     return (f.u * s_shrunk) @ f.v.T

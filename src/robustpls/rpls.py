@@ -181,8 +181,13 @@ def update_multipliers(lm, residual, alpha: float) -> np.ndarray:
 
 
 def primal_residual(rx, ry) -> float:
-    """Sum of Frobenius norms of the two constraint residuals."""
-    return float(np.linalg.norm(rx) + np.linalg.norm(ry))
+    """Sum of Frobenius norms of the two constraint residuals.
+
+    Each norm is ``sqrt(r . r)`` over the block flattened in memory order:
+    the expression ``np.linalg.norm`` evaluates, without its wrapper.
+    """
+    rx, ry = rx.ravel("K"), ry.ravel("K")
+    return math.sqrt(np.dot(rx, rx)) + math.sqrt(np.dot(ry, ry))
 
 
 def _blocks(flat, n: int, p: int):

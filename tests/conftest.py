@@ -1,4 +1,5 @@
 import base64
+import math
 
 import numpy as np
 import pytest
@@ -18,3 +19,15 @@ def random_orthonormal(rng, n, k):
 def b64_f8(values) -> str:
     """``values`` as a model document stores an array: base64 of little-endian float64 bytes, row-major."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def vector_svt(a, tau):
+    """Singular value thresholding of a one-row or one-column block, whose one singular value is its norm."""
+    sigma = math.hypot(*a.ravel())
+    return np.zeros_like(a) if sigma == 0.0 else a * (max(sigma - tau, 0.0) / sigma)
+
+
+def svd_route_svt(a, tau):
+    """Singular value thresholding through LAPACK's thin SVD, for any shape."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt

@@ -340,6 +340,28 @@ class TestFitPredict:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'x_means'" in err[0]
 
+    @pytest.mark.parametrize("x_means, theta, row", [
+        ([1e300, 1e300], 1e10, [1.0, 2.0]),  # the offset overflows: predict used to write -inf
+        ([0.0, 0.0], 1e300, [1e10, 1e10]),   # the product overflows: predict used to write inf
+    ], ids=["offset", "product"])
+    def test_predict_non_finite_predictions_rejected(self, tmp_path, capsys, x_means, theta, row):
+        # Both models and rows are finite; their predictions are not. predict
+        # used to write them and exit 0, in a file that load_csv refuses.
+        from robustpls.baselines import LinearModel
+        from robustpls.io import save_model
+
+        save_model(tmp_path / "model.json", LinearModel(
+            theta=np.full((2, 1), theta), x_means=np.array(x_means), y_means=np.zeros(1), method_tag="MLR",
+        ))
+        write_csv(tmp_path / "x.csv", np.array([row, row]))
+        pred_dir = tmp_path / "pred"
+        code = run_cli("predict", "--model", str(tmp_path / "model.json"), "--x", str(tmp_path / "x.csv"),
+                       "--out-dir", str(pred_dir))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: a prediction is not finite: the model and the rows overflow float64"]
+        assert not pred_dir.exists()
+
     def test_predict_constant_model(self, tmp_path, dataset):
         # Zero response loadings predict the stored offsets everywhere.
         from robustpls.baselines import LinearModel
@@ -470,6 +492,25 @@ class TestBench:
         assert len(rows) == 1 + 6 + 1 and rows[-1][0] == "NMSE"
         for row in rows[1:]:
             assert all(row[3:5]) and row[5:] == [""] * 8
+
+    def test_non_finite_predictions_fail_the_method(self, tmp_path, capsys):
+        # One test row of x at 1e308 is finite, and so is every fit; each
+        # method's prediction for it overflows and is recorded as a failure.
+        x, y, _ = generate(SynthSpec(n=30, p=6, r=1, k_true=2, n_collinear=1, seed=4))
+        y = 10.0 * x.sum(axis=1, keepdims=True)
+        perm = rng_from_seed(5).permutation(30)
+        x[np.sort(perm[24:])[0]] = 1e308  # the first test row of --split 0.8 --seed 5
+        write_csv(tmp_path / "x.csv", x)
+        write_csv(tmp_path / "y.csv", y)
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                       "--k", "2", "--split", "0.8", "--seed", "5", "--out-dir", str(out)) == 0
+        error = "a prediction is not finite: the model and the rows overflow float64"
+        tags = ["MLR", "PCR", "PLSR", "PLS_PROJ", "RPLS_PROJ"]
+        assert capsys.readouterr().out.splitlines()[:5] == [f"{tag}: failed: {error}" for tag in tags]
+        report = json.loads((out / "report.json").read_text())
+        assert report["methods"] == {tag: {"nmse": None, "error": error} for tag in tags}
+        assert not list(out.glob("predictions_*.csv"))
 
 
 class TestOutputFiles:

@@ -1,8 +1,11 @@
 """Kernel tests: proximal operators, SVD conventions, Procrustes solver."""
 
+import math
+
 import numpy as np
 import pytest
 
+from robustpls import linalg
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls.linalg import (
     as_matrix,
@@ -12,7 +15,7 @@ from robustpls.linalg import (
     svd,
 )
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, vector_svt
 
 
 class TestAsMatrix:
@@ -141,7 +144,11 @@ class TestSignFreeKernels:
             assert procrustes_orthonormal(d).tobytes() == (f.u @ f.v.T).tobytes()
 
     def test_svt_equals_canonical_product(self, rng):
+        # A one-row or one-column block is shrunk without an SVD; see
+        # TestVectorSingularValueThreshold.
         for a in special_inputs(rng):
+            if min(a.shape) < 2:
+                continue
             for tau in (0.0, 0.3, float(np.linalg.norm(a, 2))):
                 f = svd(a)
                 expected = (f.u * np.maximum(f.s - tau, 0.0)) @ f.v.T
@@ -155,6 +162,28 @@ class TestSignFreeKernels:
             signs = np.where(raw.u[np.argmax(np.abs(raw.u), axis=0), np.arange(raw.u.shape[1])] < 0, -1.0, 1.0)
             assert (raw.u * signs).tobytes() == canon.u.tobytes()
             assert (raw.v * signs).tobytes() == canon.v.tobytes()
+
+
+class TestVectorSingularValueThreshold:
+    """One-row and one-column blocks take the closed form, bit for bit, and no SVD."""
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (1, 401), (60, 1)])
+    def test_equals_closed_form(self, rng, shape, monkeypatch):
+        monkeypatch.setattr(linalg, "svd", None)  # any SVD call fails
+        a = rng.standard_normal(shape) * rng.uniform(0.1, 10)
+        sigma = math.hypot(*a.ravel())
+        for tau in (0.0, 0.3, sigma, np.nextafter(sigma, 0.0), 2.0 * sigma):
+            assert singular_value_threshold(a, tau).tobytes() == vector_svt(a, tau).tobytes()
+        assert not singular_value_threshold(a, sigma).any()
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_zero_block_gives_zeros(self, tau):
+        out = singular_value_threshold(np.array([[0.0, -0.0, 0.0]]), tau)
+        assert out.tobytes() == np.zeros((1, 3)).tobytes()
+
+    def test_checks_its_input(self):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            singular_value_threshold(np.array([[1.0, np.inf]]), 0.1)
 
 
 class TestSingularValueThreshold:

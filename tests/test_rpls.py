@@ -25,7 +25,7 @@ from robustpls.rpls import (
     update_sparse,
 )
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, svd_route_svt
 
 
 def augmented_lagrangian(state: RplsState, x: np.ndarray, y: np.ndarray, cfg: RplsConfig) -> float:
@@ -559,6 +559,38 @@ class TestFit:
         fit(rng.standard_normal((15, 8)), rng.standard_normal((15, 3)),
             RplsConfig(k=3, max_iter=9, tol=1e-300))
         assert calls == dict.fromkeys(calls, 9) and len(calls) == 5
+
+    @pytest.mark.parametrize("r, per_iteration", [(1, 2), (4, 3)])
+    def test_svd_calls_per_iteration(self, rng, monkeypatch, r, per_iteration):
+        # Procrustes and the X loading take one SVD each per iteration; the
+        # Y loading takes one only when it has more than one row.
+        shapes, svd = [], linalg.svd
+
+        def counted(a, *, canonical_signs=True):
+            shapes.append(np.shape(a))
+            return svd(a, canonical_signs=canonical_signs)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        fit(rng.standard_normal((15, 8)), rng.standard_normal((15, r)), RplsConfig(k=3, max_iter=9, tol=1e-300))
+        assert len(shapes) == per_iteration * 9
+        assert ((r, 3) in shapes) == (r > 1)
+
+    @pytest.mark.parametrize("seed", [2, 5, 9])
+    def test_closed_form_loading_tracks_svd_route(self, monkeypatch, seed):
+        # With r = 1 the Y loading is shrunk in closed form; the SVD route
+        # that it replaced gives the same iterations and traces within 1e-8.
+        x, y, _ = generate(SynthSpec(n=60, p=401, r=1, seed=seed))
+        y, _ = inject_low_tail(y, OutlierSpec(kind=LOW_TAIL, seed=seed))
+        closed = fit(x, y, RplsConfig(k=5))
+        monkeypatch.setattr(rpls, "singular_value_threshold", svd_route_svt)
+        ref = fit(x, y, RplsConfig(k=5))
+        assert closed.residual_trace != ref.residual_trace  # the reference took the other route
+        assert [it for it, _ in closed.residual_trace] == [it for it, _ in ref.residual_trace]
+        np.testing.assert_allclose([res for _, res in closed.residual_trace],
+                                   [res for _, res in ref.residual_trace], rtol=1e-8, atol=0)
+        for field in ("lambda_x", "lambda_y"):  # seen: within 2.4e-14 of the largest entry
+            got, want = getattr(closed.state, field), getattr(ref.state, field)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), field
 
     def test_input_validation(self, rng):
         with pytest.raises(DimensionError):
