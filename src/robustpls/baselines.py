@@ -7,12 +7,13 @@ inputs through ``predict``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, check_fields
-from .linalg import _check_arrays, _check_k, _matched_rows, as_matrix, svd
+from .linalg import _check_arrays, _check_k, _finite, _matched_rows, _matrix, svd
 
 __all__ = [
     "LinearModel",
@@ -25,6 +26,10 @@ __all__ = [
 
 # Relative singular-value cutoff below which directions count as rank-deficient.
 RANK_RCOND = 1e-12
+
+# A prediction batch larger than this is checked and multiplied in row blocks
+# of this size, which fit in L2 (see ``_affine``).
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,20 @@ class PlsFactors:
 
 
 def _center(x, y):
+    """The centered blocks, their means, and the rounding floor of the centered x.
+
+    Far from the origin, rounding the data and their column means leaves
+    the centered x a full-rank error whose singular values grow with
+    ``max|x|``. Its largest was 0.8-1.6 times ``eps * sqrt(n p) * max|x|``
+    on rank-5 data of 120x40 and 48x401 moved by 1e2 to 1e8 column spreads,
+    almost all of it the rank-one error of the rounded means. A direction
+    whose singular value is not above ten times that, the floor, is that
+    error and not data, whatever ``RANK_RCOND`` allows.
+    """
     x, y = _matched_rows(x, y)
     x_means, y_means = x.mean(axis=0), y.mean(axis=0)
-    return x - x_means, y - y_means, x_means, y_means
+    floor = 10.0 * np.finfo(np.float64).eps * math.sqrt(x.size) * float(np.abs(x).max())
+    return x - x_means, y - y_means, x_means, y_means, floor
 
 
 def fit_mlr(x, y) -> LinearModel:
@@ -81,9 +97,16 @@ def fit_mlr(x, y) -> LinearModel:
 
     Falls back to the minimum-norm pseudoinverse solution when the
     predictor matrix is rank deficient, recording a note on the model.
+    Singular values up to ``RANK_RCOND`` times the largest, or up to the
+    centering's rounding floor, count as zero.
     """
-    xc, yc, x_means, y_means = _center(x, y)
-    theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
+    xc, yc, x_means, y_means, floor = _center(x, y)
+    theta, _, rank, s = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
+    # lstsq takes its cutoff relative to the largest singular value, which
+    # only its own decomposition finds; it solves again only in the rare
+    # case that the floor drops a direction RANK_RCOND kept.
+    if np.count_nonzero(s > floor) < rank:
+        theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=floor / s[0])
     notes = ()
     if rank < xc.shape[1]:
         notes = (f"rank deficient predictors (rank {rank} < {xc.shape[1]}): pseudoinverse solution",)
@@ -99,11 +122,11 @@ def fit_mlr(x, y) -> LinearModel:
 
 def fit_pcr(x, y, k: int) -> LinearModel:
     """Principal component regression with the top-k score directions."""
-    xc, yc, x_means, y_means = _center(x, y)
+    xc, yc, x_means, y_means, floor = _center(x, y)
     _check_k(k, xc.shape)
     f = svd(xc)
     s = f.s[:k]
-    keep = s > RANK_RCOND * (f.s[0] if f.s[0] > 0 else 1.0)
+    keep = s > max(RANK_RCOND * (f.s[0] if f.s[0] > 0 else 1.0), floor)
     notes = ()
     if not keep.all():
         notes = (f"{int((~keep).sum())} of {k} score directions numerically zero: dropped",)
@@ -128,14 +151,16 @@ def fit_pls_nipals(x, y, k: int):
     cross-covariance ``X_res^T Y_res`` as the weight vector (unit norm,
     largest-magnitude entry nonnegative), scores the residuals, and
     deflates both blocks by the rank-one fit. Stops early if the
-    cross-covariance vanishes before k components; the actual count is
-    recorded on the model.
+    cross-covariance vanishes before k components: when its norm is not
+    above ``RANK_RCOND`` times the first one's, or not above what the
+    centering's rounding floor can give it. The actual count is recorded on
+    the model.
 
     Returns
     -------
     (PlsFactors, LinearModel)
     """
-    xc, yc, x_means, y_means = _center(x, y)
+    xc, yc, x_means, y_means, floor = _center(x, y)
     n, p = xc.shape
     r = yc.shape[1]
     _check_k(k, xc.shape)
@@ -143,11 +168,15 @@ def fit_pls_nipals(x, y, k: int):
     x_res = xc.copy()
     y_res = yc.copy()
     cov_scale = np.linalg.norm(xc.T @ yc)
+    # Rounding error of spectral size ``floor`` in x gives the cross-covariance
+    # a norm of at most ``floor * |y_res|_F``, and deflation never makes
+    # ``|y_res|_F`` larger than ``|yc|_F <= sqrt(n r) max|yc|``, which cannot overflow.
+    cov_floor = floor * math.sqrt(yc.size) * float(np.abs(yc).max())
     weights, scores, x_loadings, y_loadings = [], [], [], []
     notes = ()
     for j in range(k):
         cov = x_res.T @ y_res
-        if np.linalg.norm(cov) <= max(1e-12 * cov_scale, 1e-300):
+        if np.linalg.norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor, 1e-300):
             notes = (f"cross-covariance vanished after {j} of {k} components",)
             break
         w = svd(cov).u[:, 0]
@@ -194,13 +223,27 @@ def _affine(x_new, matrix, offset) -> np.ndarray:
 
     The model compiled ``offset``, so no centered copy of the batch is made.
     This intercept form rounds at the scale of ``|x_new|``, not ``|x_new -
-    x_means|``. A batch in another layout is copied to C order first, so it
-    gives the bits of its C copy.
+    x_means|``. A batch in another layout or type is copied to C float64
+    first, so it gives the bits of that copy.
+
+    A batch of at most ``BLOCK_BYTES`` is checked and multiplied whole. A
+    larger one is checked and multiplied one block of ``BLOCK_BYTES`` worth
+    of rows at a time, so that the product reads each block from L2 right
+    after the check has read it from memory. Its result is the bits of
+    ``np.dot`` on each row block.
     """
-    x_new = np.ascontiguousarray(as_matrix(x_new, "x_new"))
+    x_new = np.ascontiguousarray(_matrix(x_new, "x_new"))
     if x_new.shape[1] != matrix.shape[0]:
+        _finite(x_new, "x_new")  # a non-finite entry is reported first, as by as_matrix
         raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")
-    out = np.dot(x_new, matrix)
+    if x_new.nbytes <= BLOCK_BYTES:
+        out = np.dot(_finite(x_new, "x_new"), matrix)
+    else:
+        out = np.empty((x_new.shape[0], matrix.shape[1]))
+        step = max(1, BLOCK_BYTES // x_new.strides[0])
+        for start in range(0, x_new.shape[0], step):
+            rows = slice(start, start + step)
+            np.dot(_finite(x_new[rows], "x_new"), matrix, out=out[rows])
     out -= offset
     return out
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from robustpls.baselines import BLOCK_BYTES
+
 
 @pytest.fixture
 def rng():
@@ -14,6 +16,16 @@ def random_orthonormal(rng, n, k):
     """Orthonormal columns via QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
+
+
+def dot_by_blocks(x, m):
+    """``np.dot(x, m)`` taken as the prediction apply takes it: whole up to
+    ``BLOCK_BYTES``, else one ``np.dot`` per block of ``BLOCK_BYTES // row
+    bytes`` rows (at least one), stacked."""
+    if x.nbytes <= BLOCK_BYTES:
+        return np.dot(x, m)
+    step = max(1, BLOCK_BYTES // x.strides[0])
+    return np.concatenate([np.dot(x[i:i + step], m) for i in range(0, len(x), step)])
 
 
 def b64_f8(values) -> str:

@@ -1,12 +1,14 @@
 """The prediction apply against the plain expressions it computes, over generated inputs.
 
 ``project``, ``predict_projection`` and ``baselines.predict`` take one
-uncentered ``np.dot`` product, subtract the offset their model compiled,
-and (for ``predict_projection``) map the scores through the response
-loadings and add the response means in place; ``as_matrix`` tests
-finiteness with one ``logical_and`` reduction. Each must give the bytes of
-the plain expression, ``np.dot(x, w) - offset`` and so on, for every
-layout a caller may pass; the result must stay close to the centered
+uncentered ``np.dot`` product (one per row block above ``BLOCK_BYTES``),
+subtract the offset their model compiled, and (for
+``predict_projection``) map the scores through the response loadings and
+add the response means in place; ``as_matrix`` tests finiteness with one
+``logical_and`` reduction. Each must give the bytes of the plain
+expression, ``np.dot(x, w) - offset`` and so on with the product taken by
+the same row blocks, for every layout a caller may pass and for batches of
+one to three blocks; the result must stay close to the centered
 product ``(x - x_means) @ w`` for inputs far from the origin; and
 ``as_matrix`` must accept exactly the arrays whose entries are all finite.
 """
@@ -16,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustpls.baselines import LinearModel, predict
+from robustpls.baselines import BLOCK_BYTES, LinearModel, predict
 from robustpls.errors import InvalidInputError
 from robustpls.linalg import as_matrix
 from robustpls.projection import ProjectionRegressor, predict_projection, project
+
+from conftest import dot_by_blocks
 
 
 def strided(x):
@@ -51,8 +55,11 @@ def models(rng, p, k, r, x_means):
 
 @st.composite
 def apply_cases(draw):
-    """Both model kinds over drawn shapes (k may be 0), and a batch in a drawn layout."""
-    n, p, k, r = draw(st.integers(1, 16)), draw(st.integers(1, 450)), draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    """Both model kinds over drawn shapes (k may be 0), and a batch of one to three blocks in a drawn layout."""
+    p, k, r = draw(st.integers(1, 450)), draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    step = BLOCK_BYTES // (8 * p)  # rows of float64 in one block
+    blocks = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 16) if blocks == 1 else st.integers((blocks - 1) * step + 1, blocks * step))
     rng = np.random.default_rng(draw(SEEDS))
     scale = 10.0 ** draw(st.integers(-3, 3))
     reg, linear = models(rng, p, k, r, rng.standard_normal(p) * scale)
@@ -71,9 +78,9 @@ def test_apply_matches_plain_expressions(case):
     x = np.ascontiguousarray(batch, dtype=np.float64)  # the values and layout the apply takes
     same_bytes(reg.offset, np.dot(reg.x_means, reg.w))
     same_bytes(linear.offset, np.dot(linear.x_means, linear.theta) - linear.y_means)
-    same_bytes(project(reg, batch), np.dot(x, reg.w) - reg.offset)
-    same_bytes(predict_projection(reg, batch), (np.dot(x, reg.w) - reg.offset) @ reg.lambda_y.T + reg.y_means)
-    same_bytes(predict(linear, batch), np.dot(x, linear.theta) - linear.offset)
+    same_bytes(project(reg, batch), dot_by_blocks(x, reg.w) - reg.offset)
+    same_bytes(predict_projection(reg, batch), (dot_by_blocks(x, reg.w) - reg.offset) @ reg.lambda_y.T + reg.y_means)
+    same_bytes(predict(linear, batch), dot_by_blocks(x, linear.theta) - linear.offset)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustpls.baselines import LinearModel, fit_mlr, fit_pcr, fit_pls_nipals, predict
+from robustpls.datagen import SynthSpec, generate
 from robustpls.errors import ConfigError, DimensionError, InvalidInputError
 
 from conftest import random_orthonormal
@@ -201,6 +202,37 @@ class TestPls:
         assert factors.scores.shape == (25, 3)
         assert factors.x_loadings.shape == (6, 3)
         assert factors.y_loadings.shape == (2, 3)
+
+
+# Rank-5 data: the 150x40 paper shape (120 rows) and the 60x401 NIR shape (48 rows, n < p).
+RANK_5_DATA = {"120x40": (SynthSpec(seed=1), 120), "48x401": (SynthSpec(n=60, p=401, r=1, seed=1), 48)}
+
+
+@pytest.mark.parametrize("shape", sorted(RANK_5_DATA))
+def test_rank_holds_far_from_the_origin(shape):
+    # Moving x by c mean column spreads leaves the centered data the same up
+    # to rounding, which grows with c. Each method keeps its rank and notes,
+    # and |theta| moves by at most 1e-9 of its value at c = 0 (1.1e-10 seen
+    # at c = 1e8). A fixed RANK_RCOND alone took rank 6 or more from c = 1e4
+    # on, with |theta| up to 3e8 times larger.
+    spec, rows = RANK_5_DATA[shape]
+    x, y, _ = generate(spec)
+    x, y = x[:rows], y[:rows]
+    spread = x.std(axis=0).mean()
+
+    def fits(c):
+        x_moved = x + c * spread
+        return {"MLR": fit_mlr(x_moved, y), "PCR": fit_pcr(x_moved, y, 10), "PLSR": fit_pls_nipals(x_moved, y, 10)[1]}
+
+    base = fits(0.0)
+    assert [m.n_components for m in base.values()] == [0, 5, 5]
+    assert all(m.notes for m in base.values())
+    for c in (1e2, 1e4, 1e6, 1e8):
+        for method, model in fits(c).items():
+            want = base[method]
+            assert (model.n_components, model.notes) == (want.n_components, want.notes), (c, method)
+            norm, want_norm = np.linalg.norm(model.theta), np.linalg.norm(want.theta)
+            assert abs(norm - want_norm) <= 1e-9 * want_norm, (c, method)
 
 
 class TestPredict:
