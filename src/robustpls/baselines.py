@@ -27,8 +27,8 @@ __all__ = [
 # Relative singular-value cutoff below which directions count as rank-deficient.
 RANK_RCOND = 1e-12
 
-# A prediction batch larger than this is checked and multiplied in row blocks
-# of this size, which fit in L2 (see ``_affine``).
+# A prediction batch larger than this is multiplied in row blocks of this
+# size, which fit in L2, and checked through its product (see ``_affine``).
 BLOCK_BYTES = 512 * 1024
 
 
@@ -167,7 +167,7 @@ def fit_pls_nipals(x, y, k: int):
 
     x_res = xc.copy()
     y_res = yc.copy()
-    cov_scale = np.linalg.norm(xc.T @ yc)
+    cov_scale = _norm(xc.T @ yc)
     # Rounding error of spectral size ``floor`` in x gives the cross-covariance
     # a norm of at most ``floor * |y_res|_F``, and deflation never makes
     # ``|y_res|_F`` larger than ``|yc|_F <= sqrt(n r) max|yc|``, which cannot overflow.
@@ -176,7 +176,7 @@ def fit_pls_nipals(x, y, k: int):
     notes = ()
     for j in range(k):
         cov = x_res.T @ y_res
-        if np.linalg.norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor, 1e-300):
+        if _norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor, 1e-300):
             notes = (f"cross-covariance vanished after {j} of {k} components",)
             break
         w = svd(cov).u[:, 0]
@@ -218,6 +218,15 @@ def fit_pls_nipals(x, y, k: int):
     return factors, model
 
 
+def _norm(a) -> float:
+    """The Frobenius norm of ``a``, taken on ``a`` scaled by 2**-e to a largest
+    entry in [0.5, 1) and scaled back, so that its sum of squares cannot
+    overflow (entries above about 1e154 would). Powers of two scale exactly,
+    so a norm that does not overflow keeps its bits."""
+    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+
+
 def _affine(x_new, matrix, offset) -> np.ndarray:
     """``x_new @ matrix - offset`` for checked rows: the one prediction apply.
 
@@ -227,10 +236,17 @@ def _affine(x_new, matrix, offset) -> np.ndarray:
     first, so it gives the bits of that copy.
 
     A batch of at most ``BLOCK_BYTES`` is checked and multiplied whole. A
-    larger one is checked and multiplied one block of ``BLOCK_BYTES`` worth
-    of rows at a time, so that the product reads each block from L2 right
-    after the check has read it from memory. Its result is the bits of
-    ``np.dot`` on each row block.
+    larger one is multiplied one block of ``BLOCK_BYTES`` worth of rows at a
+    time, with the bits of ``np.dot`` on each row block, and then only the
+    (n, k) product is tested for finiteness, so the batch is read once. A
+    product must multiply every nonzero entry of ``matrix``: a NaN or
+    infinity in column j of the batch makes its row of the product
+    non-finite whenever row j of ``matrix`` has a nonzero entry. BLAS may
+    skip a zero factor (OpenBLAS returns finite zeros for an (n, 1) batch
+    holding NaN times a 1x1 zero matrix), so when some row of ``matrix`` is
+    all zero, as every row is when it has no columns, the batch itself is
+    checked too. A non-finite product of a finite batch overflowed; it is
+    taken again, with the warnings the unchecked product held back.
     """
     x_new = np.ascontiguousarray(_matrix(x_new, "x_new"))
     if x_new.shape[1] != matrix.shape[0]:
@@ -240,12 +256,23 @@ def _affine(x_new, matrix, offset) -> np.ndarray:
         out = np.dot(_finite(x_new, "x_new"), matrix)
     else:
         out = np.empty((x_new.shape[0], matrix.shape[1]))
-        step = max(1, BLOCK_BYTES // x_new.strides[0])
-        for start in range(0, x_new.shape[0], step):
-            rows = slice(start, start + step)
-            np.dot(_finite(x_new[rows], "x_new"), matrix, out=out[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _dot_by_blocks(x_new, matrix, out)
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
+            _dot_by_blocks(_finite(x_new, "x_new"), matrix, out)
+        elif not matrix.any(axis=1).all():
+            _finite(x_new, "x_new")
     out -= offset
     return out
+
+
+def _dot_by_blocks(x, matrix, out) -> None:
+    """``out[:] = np.dot(x, matrix)``, one ``np.dot`` per ``BLOCK_BYTES``
+    worth of C-order rows, so that each block stays in L2."""
+    step = max(1, BLOCK_BYTES // x.strides[0])
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
+        np.dot(x[rows], matrix, out=out[rows])
 
 
 def predict(model: LinearModel, x_new) -> np.ndarray:

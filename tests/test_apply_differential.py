@@ -10,8 +10,12 @@ expression, ``np.dot(x, w) - offset`` and so on with the product taken by
 the same row blocks, for every layout a caller may pass and for batches of
 one to three blocks; the result must stay close to the centered
 product ``(x - x_means) @ w`` for inputs far from the origin; and
-``as_matrix`` must accept exactly the arrays whose entries are all finite.
+``as_matrix``, and the apply of a batch above ``BLOCK_BYTES``, which tests
+finiteness through its product, must accept exactly the arrays whose
+entries are all finite.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +143,39 @@ def test_as_matrix_accepts_exactly_the_finite_arrays(case):
     else:
         with pytest.raises(InvalidInputError, match="^x_new contains non-finite entries$"):
             as_matrix(given_as, "x_new")
+
+
+@st.composite
+def marked_batches(draw):
+    """A matrix of p <= 8 rows, some all zero, and k <= 3 columns, and a
+    batch of two blocks with up to three cells set to a drawn mark."""
+    p, k = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    matrix = rng.standard_normal((p, k))
+    matrix[draw(st.lists(st.integers(0, p - 1), max_size=p))] = 0.0
+    n = 2 * (BLOCK_BYTES // (8 * p))
+    x = rng.standard_normal((n, p))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, p - 1), st.sampled_from(MARKS))
+    for i, j, value in draw(st.lists(cells, max_size=3)):
+        x[i, j] = value
+    return matrix, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_batches())
+def test_large_batch_accepted_exactly_when_finite(case):
+    # No zero factor of M may hide a NaN or an infinity: the apply rejects
+    # each such batch, with no warning, and otherwise gives the product by
+    # row blocks (overflowing where the largest doubles do).
+    matrix, x = case
+    model = LinearModel(theta=matrix, x_means=np.zeros(len(matrix)), y_means=np.zeros(matrix.shape[1]),
+                        method_tag="MLR")
+    if np.isfinite(x).all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            same_bytes(predict(model, x), dot_by_blocks(x, matrix) - model.offset)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^x_new contains non-finite entries$"):
+                predict(model, x)

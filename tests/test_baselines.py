@@ -195,6 +195,18 @@ class TestPls:
         assert model.n_components >= 1
         np.testing.assert_allclose(np.tril(pw), np.eye(model.n_components), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e140])
+    def test_large_scale_fits_every_component(self, rng, scale):
+        # Cross-covariance entries of about 1e161 and up are finite, but the
+        # sum of their squares is not: an unscaled norm read inf, warned,
+        # and stopped the fit before its first component.
+        x = rng.standard_normal((30, 5))
+        y = x @ rng.standard_normal((5, 1)) + 0.1 * rng.standard_normal((30, 1))
+        _, want = fit_pls_nipals(x, y, k=3)
+        _, model = fit_pls_nipals(x * scale, y * scale, k=3)
+        assert (model.n_components, model.notes) == (3, ())
+        np.testing.assert_allclose(model.theta, want.theta, rtol=1e-12)
+
     def test_scores_match_deflation(self, rng):
         x = rng.standard_normal((25, 6))
         y = rng.standard_normal((25, 2))

@@ -1,6 +1,7 @@
 """Projection-regression tests: score recovery, prediction identities, screening."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -365,16 +366,18 @@ class TestCompiledPredictor:
         np.testing.assert_array_equal(predict_projection(loaded, x), predict_projection(reg, x))
 
 
-def apply_models(rng, p, r=2, k=3, zero=False):
+def apply_models(rng, p, r=2, k=3, zero_rows=slice(0), gain=1.0):
     """A linear model and a projection regressor over p columns, each with
     its plain expression ``np.dot(x, M) - offset`` (then the model's response
     map; the product taken by row blocks above ``BLOCK_BYTES``, or by the
     ``dot`` it is given), its centered expression ``(x - x_means) @ M``
-    (likewise) and its response means."""
-    theta = np.zeros((p, r)) if zero else rng.standard_normal((p, r))
+    (likewise) and its response means. The ``zero_rows`` of ``theta`` and of
+    the predictor loadings, and so of ``M``, are zero; ``gain`` scales ``M``."""
+    theta, loadings = gain * rng.standard_normal((p, r)), rng.standard_normal((p, k)) / gain
+    theta[zero_rows] = loadings[zero_rows] = 0.0
     linear = LinearModel(theta=theta, x_means=rng.standard_normal(p) + 3.0,
                          y_means=rng.standard_normal(r), method_tag="MLR")
-    reg = pls_regressor(rng, np.zeros((p, k)) if zero else rng.standard_normal((p, k)), r=r)
+    reg = pls_regressor(rng, loadings, r=r)
     return {
         "linear": (lambda x: predict(linear, x),
                    lambda x, dot=dot_by_blocks: dot(x, linear.theta) - linear.offset,
@@ -385,12 +388,38 @@ def apply_models(rng, p, r=2, k=3, zero=False):
     }
 
 
+def with_warnings(f, x):
+    """``f(x)`` and the text of every warning it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(x)
+    return out, [str(w.message) for w in caught]
+
+
+def assert_rejected_without_warning(apply, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^x_new contains non-finite entries$"):
+            apply(x)
+
+
 def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # A spectrum-wide batch: 401 columns, as in the NIR shape.
 P = 401
+
+# Matrices through which a product might not carry a non-finite entry of the
+# batch, as (p, r, k, zero rows of M); the entry goes in column min(17, p - 1).
+THIN_MATRICES = {
+    "one-column": (P, 1, 1, slice(0)),  # a matrix-vector product
+    "no-columns": (P, 0, 0, slice(0)),
+    "zero-row": (P, 2, 3, [17]),
+    # OpenBLAS returns finite zeros for an (n, 1) batch holding NaN or an
+    # infinity times a 1x1 zero matrix.
+    "one-zero-entry": (1, 1, 1, [0]),
+}
 
 
 @pytest.mark.parametrize("kind", ["linear", "projection"])
@@ -434,7 +463,7 @@ class TestBlockedApply:
         assert_close(apply(x), centered(x))
 
     def test_no_direction_left_predicts_offsets(self, rng, kind):
-        apply, _, _, y_means = apply_models(rng, P, zero=True)[kind]
+        apply, _, _, y_means = apply_models(rng, P, zero_rows=slice(None))[kind]
         x = rng.standard_normal((500, P))
         np.testing.assert_array_equal(apply(x), np.tile(y_means, (500, 1)))
 
@@ -445,14 +474,39 @@ class TestBlockedApply:
         with pytest.raises(InvalidInputError, match="x_new contains non-finite entries"):
             apply(x)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("row", [0, 250])  # in the first and in the second of four blocks
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 250, 499])  # in the first, the second and the last of four blocks
     def test_non_finite_in_any_block_rejected(self, rng, kind, value, row):
         apply, _, _, _ = apply_models(rng, P)[kind]
         x = rng.standard_normal((500, P))
         x[row, 17] = value
-        with pytest.raises(InvalidInputError, match="^x_new contains non-finite entries$"):
-            apply(x)
+        assert_rejected_without_warning(apply, x)
+
+    @pytest.mark.parametrize("shape", sorted(THIN_MATRICES))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_rejected_through_thin_or_zero_rows(self, rng, kind, shape, value, where):
+        # A large batch is checked through its product. These matrices are
+        # where that could miss an entry: a zero row of M meets it with a
+        # factor BLAS may skip, and with no columns there is no product.
+        p, r, k, zero_rows = THIN_MATRICES[shape]
+        apply, _, _, _ = apply_models(rng, p, r=r, k=k, zero_rows=zero_rows)[kind]
+        n = 4 * (BLOCK_BYTES // (8 * p))  # four blocks
+        x = rng.standard_normal((n, p))
+        x[{"first": 0, "middle": n // 2, "last": n - 1}[where], min(17, p - 1)] = value
+        assert_rejected_without_warning(apply, x)
+
+    def test_overflow_keeps_values_and_warnings(self, rng, kind):
+        # A finite batch whose product overflows is taken again with its
+        # warnings, so it gives the values and warnings of the plain product.
+        apply, plain, _, _ = apply_models(rng, P, gain=1e3)[kind]
+        x = rng.standard_normal((500, P))
+        x[[0, 250, 499]] = np.finfo(np.float64).max
+        got, got_warnings = with_warnings(apply, x)
+        want, want_warnings = with_warnings(plain, x)
+        np.testing.assert_array_equal(got, want)
+        assert not np.isfinite(got[[0, 250, 499]]).all() and np.isfinite(got[1:250]).all()
+        assert got_warnings == want_warnings and "overflow encountered in dot" in got_warnings
 
     def test_column_mismatch_text(self, rng, kind):
         apply, _, _, _ = apply_models(rng, P)[kind]

@@ -7,7 +7,10 @@ one-row loading is covered:
 - translation: ``fit(X + 1c^T, Y + 1d^T)`` moves the median offsets by ``c``
   and ``d`` and leaves the scores, the loadings and the sparse blocks;
 - column permutation: permuting the columns of X permutes the rows of
-  ``lambda_x`` and the columns of ``delta_x``, and leaves the scores.
+  ``lambda_x`` and the columns of ``delta_x``, and leaves the scores;
+- translation through predict: every method of ``evaluate.METHODS`` fit
+  on ``X + c·spread`` predicts ``X_test + c·spread`` as its fit on X
+  predicts ``X_test``, with the same rank notes, for c up to 1e8.
 
 The data are moved exactly only up to rounding, so the fits agree within
 ``TOL``, not bit for bit: the largest entrywise gap of the scores, and of
@@ -22,16 +25,29 @@ rank one, its other score columns are picked by rounding, and the moved
 fit can take another path. In the same 6,000 draws the loadings lost rank
 in 48, and 6 of those broke the property (gaps up to order one, or
 iteration counts apart). Each test therefore assumes the unmoved fit kept
-rank ``k`` at every iteration.
+rank ``k`` at every iteration; RPLS keeps that assumption through predict.
+
+Far from the origin the data and their means round at the scale of
+``c·spread``, so predictions move by a multiple of ``c·eps``. In units of
+``c·eps·max|Y|`` the largest move seen over 2,000 draws at c = 1e2 to 1e8
+was 10 (PCR), 18 (PLSR) and 11 (PLS_PROJ), and over 300 draws 10 (RPLS).
+MLR's grows with the condition number of the centered X over the
+directions it solves on, so its unit carries that number too; its largest
+was 41. With X cut to its rank-two part none passed 3.3 (300 draws, 60
+for RPLS). ``PREDICT_TOL`` allows 200.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustpls.rpls import RplsConfig, fit
+from robustpls import evaluate
+from robustpls.projection import from_rpls
+from robustpls.rpls import RplsConfig, RplsModel, fit
 
 TOL = 1e-9
+PREDICT_TOL = 200.0
+EPS = np.finfo(np.float64).eps
 
 
 @st.composite
@@ -114,3 +130,42 @@ def test_column_permutation_permutes_the_x_fields(problem, order):
     assert found.pop("iterations") == 0
     assert found.pop("x_means") == 0.0  # each column's median moves with it, bit for bit
     assert max(found.values()) <= TOL, found
+
+
+def rank_notes(model):
+    """What a fitted model says about the rank it kept: its component count and notes."""
+    if isinstance(model, RplsModel):
+        model = from_rpls(model)
+    return getattr(model, "n_components", None), model.notes
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_translation_through_predict(problem, exact_rank, seed):
+    # X moves by c spreads of each column, and so do the rows it predicts.
+    # With ``exact_rank`` X is its rank-two part, so MLR notes a deficient
+    # rank, which the rounding of the moved data must not lift.
+    x, y, k = problem
+    if exact_rank:
+        u, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        x = x.mean(axis=0) + (u[:, :2] * s[:2]) @ vt[:2]
+    spread = x.std(axis=0)
+    x_test = x.mean(axis=0) + np.random.default_rng(seed).standard_normal((5, x.shape[1])) * spread
+    config = RplsConfig(k=k)
+    sv = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    kept = sv[sv > 1e-9 * sv[0]]  # the directions MLR solves on: two when ``exact_rank``
+    unit = EPS * np.abs(y).max()
+    for name, method in evaluate.METHODS.items():
+        if name == "rpls":
+            base, full_rank = fit_of_full_rank(x, y, k)
+            if not full_rank:
+                continue
+        else:
+            base, _ = method.fit(x, y, config)
+        want = evaluate.predict_model(base, x_test)
+        scale = unit * kept[0] / kept[-1] if name == "mlr" else unit
+        for c in (1e2, 1e4, 1e6, 1e8):
+            moved, _ = method.fit(x + c * spread, y, config)
+            assert rank_notes(moved) == rank_notes(base), (name, c)
+            gap = np.abs(evaluate.predict_model(moved, x_test + c * spread) - want).max()
+            assert gap <= PREDICT_TOL * c * scale, (name, c, gap / (c * scale))
