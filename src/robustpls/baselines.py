@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, check_fields
-from .linalg import _check_arrays, _check_k, _finite, _matched_rows, _matrix, svd
+from .linalg import _check_arrays, _check_k, _exponent, _finite, _matched_rows, _matrix, svd
 
 __all__ = [
     "LinearModel",
@@ -124,9 +124,9 @@ def fit_pcr(x, y, k: int) -> LinearModel:
     """Principal component regression with the top-k score directions."""
     xc, yc, x_means, y_means, floor = _center(x, y)
     _check_k(k, xc.shape)
-    f = svd(xc)
+    f = svd(xc, canonical_signs=False)  # theta cancels a matched sign flip of u and v
     s = f.s[:k]
-    keep = s > max(RANK_RCOND * (f.s[0] if f.s[0] > 0 else 1.0), floor)
+    keep = s > max(RANK_RCOND * f.s[0], floor)
     notes = ()
     if not keep.all():
         notes = (f"{int((~keep).sum())} of {k} score directions numerically zero: dropped",)
@@ -156,6 +156,12 @@ def fit_pls_nipals(x, y, k: int):
     centering's rounding floor can give it. The actual count is recorded on
     the model.
 
+    The rounds run on the centered blocks, each scaled by a power of two to
+    a largest entry in [0.5, 1), where no product or sum of squares can
+    overflow or underflow and a kept score has positive variance; scores,
+    y-loadings and theta are scaled back exactly. Power-of-two units thus
+    rescale the fit bit for bit while data, means and results stay normal.
+
     Returns
     -------
     (PlsFactors, LinearModel)
@@ -165,26 +171,23 @@ def fit_pls_nipals(x, y, k: int):
     r = yc.shape[1]
     _check_k(k, xc.shape)
 
-    x_res = xc.copy()
-    y_res = yc.copy()
-    cov_scale = _norm(xc.T @ yc)
+    ex, ey = _exponent(xc), _exponent(yc)
+    x_res, y_res = np.ldexp(xc, -ex), np.ldexp(yc, -ey)
+    cov_scale = np.linalg.norm(x_res.T @ y_res)
     # Rounding error of spectral size ``floor`` in x gives the cross-covariance
     # a norm of at most ``floor * |y_res|_F``, and deflation never makes
-    # ``|y_res|_F`` larger than ``|yc|_F <= sqrt(n r) max|yc|``, which cannot overflow.
-    cov_floor = floor * math.sqrt(yc.size) * float(np.abs(yc).max())
+    # ``|y_res|_F`` larger than ``|yc|_F <= sqrt(n r) max|yc|``.
+    cov_floor = math.ldexp(floor, -ex) * math.sqrt(yc.size) * float(np.abs(y_res).max())
     weights, scores, x_loadings, y_loadings = [], [], [], []
     notes = ()
     for j in range(k):
         cov = x_res.T @ y_res
-        if _norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor, 1e-300):
+        if np.linalg.norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor):
             notes = (f"cross-covariance vanished after {j} of {k} components",)
             break
         w = svd(cov).u[:, 0]
         t = x_res @ w
         tt = float(t @ t)
-        if tt <= 0.0:
-            notes = (f"zero score variance after {j} of {k} components",)
-            break
         p_load = x_res.T @ t / tt
         c_load = y_res.T @ t / tt
         x_res = x_res - np.outer(t, p_load)
@@ -197,10 +200,10 @@ def fit_pls_nipals(x, y, k: int):
     # Each stack starts from a zero-width block, so no component gives
     # (rows, 0) factors, and the 0x0 solve below gives a zero theta.
     factors = PlsFactors(
-        scores=np.column_stack([np.zeros((n, 0)), *scores]),
+        scores=np.ldexp(np.column_stack([np.zeros((n, 0)), *scores]), ex),
         weights=np.column_stack([np.zeros((p, 0)), *weights]),
         x_loadings=np.column_stack([np.zeros((p, 0)), *x_loadings]),
-        y_loadings=np.column_stack([np.zeros((r, 0)), *y_loadings]),
+        y_loadings=np.ldexp(np.column_stack([np.zeros((r, 0)), *y_loadings]), ey - ex),
     )
     # P^T W is unit upper triangular (p_j.w_j = 1, and deflation gives
     # X_i w_j = 0 for i > j), so the solve never meets a zero pivot.
@@ -216,15 +219,6 @@ def fit_pls_nipals(x, y, k: int):
         notes=notes,
     )
     return factors, model
-
-
-def _norm(a) -> float:
-    """The Frobenius norm of ``a``, taken on ``a`` scaled by 2**-e to a largest
-    entry in [0.5, 1) and scaled back, so that its sum of squares cannot
-    overflow (entries above about 1e154 would). Powers of two scale exactly,
-    so a norm that does not overflow keeps its bits."""
-    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 def _affine(x_new, matrix, offset) -> np.ndarray:

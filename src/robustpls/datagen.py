@@ -65,10 +65,12 @@ class SynthSpec:
             self, ("noise_sigma",),
             integers=(("n", 1), ("p", 1), ("r", 1), ("k_true", 1), ("n_collinear", 0), ("seed", 0)),
         )
-        if self.k_true > self.p:
-            raise ConfigError(f"k_true={self.k_true} exceeds p={self.p}")
-        if self.n_collinear >= self.p:
-            raise ConfigError(f"n_collinear={self.n_collinear} must be < p={self.p}")
+        # x is n rows of p - n_collinear independent columns and their mixes.
+        if self.k_true > min(self.n, self.p - self.n_collinear):
+            raise ConfigError(
+                f"k_true={self.k_true} must be at most min(n, p - n_collinear) for an x of rank k_true, "
+                f"got n={self.n}, p={self.p}, n_collinear={self.n_collinear}"
+            )
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
 

@@ -105,10 +105,13 @@ class ExperimentReport:
 
 
 def _check_split(n, train_indices, test_indices):
-    train = np.asarray(train_indices, dtype=np.intp)
-    test = np.asarray(test_indices, dtype=np.intp)
+    train, test = np.asarray(train_indices), np.asarray(test_indices)
     if train.ndim != 1 or test.ndim != 1 or train.size == 0 or test.size == 0:
         raise ConfigError("split indices must be non-empty 1-D sequences")
+    # Casting would truncate floats and read a boolean mask as rows 0 and 1.
+    if train.dtype.kind not in "iu" or test.dtype.kind not in "iu":
+        raise ConfigError(f"split indices must be integers, got {train.dtype} and {test.dtype}")
+    train, test = train.astype(np.intp), test.astype(np.intp)
     merged = np.concatenate([train, test])
     if merged.min() < 0 or merged.max() >= n:
         raise ConfigError(f"split indices out of range for {n} rows")
@@ -209,7 +212,7 @@ def run_experiment(
     x, y : array_like
         Full dataset; rows are selected by the split.
     split : (train_indices, test_indices)
-        Disjoint row index sequences. Order does not matter; indices are
+        Disjoint integer row index sequences. Order does not matter; indices are
         sorted internally so shuffled splits give identical reports.
     methods : sequence of str
         Report tags of entries in ``METHODS``, at least one, none repeated.

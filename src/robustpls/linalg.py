@@ -78,6 +78,12 @@ def _check_k(k: int, shape) -> None:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
 
 
+def _exponent(a) -> int:
+    """The ``e`` with ``max|a| * 2**-e`` in [0.5, 1), and 0 for a zero ``a``;
+    powers of two scale exactly within the normal float64 range."""
+    return int(np.frexp(np.abs(a).max(initial=0.0))[1])
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD ``u @ diag(s) @ v.T`` with orthonormal u, v columns.

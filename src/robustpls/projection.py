@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import RANK_RCOND, PlsFactors, _affine
 from .errors import ConfigError
-from .linalg import _check_arrays, svd
+from .linalg import _check_arrays, _exponent, svd
 from .rpls import RplsModel
 
 __all__ = [
@@ -70,11 +70,9 @@ class ProjectionRegressor:
         _check_arrays(self, self.AXES)
         if self.source_tag not in ("RPLS", "PLS"):
             raise ConfigError(f"source_tag must be RPLS or PLS, got {self.source_tag!r}")
-        # Compile on the loadings scaled by 2**-e to a largest entry in
-        # [0.5, 1), then scale w back. Powers of two scale exactly (bar
-        # entries far below RANK_RCOND of the largest), and the scaled gains
-        # can neither overflow near the float64 limit nor be subnormal.
-        e = int(np.frexp(np.abs(self.lambda_x).max(initial=0.0))[1])
+        # Compile on the loadings scaled by 2**-e, then scale w back: the
+        # scaled gains can neither overflow nor be subnormal.
+        e = _exponent(self.lambda_x)
         u, s, vt = np.linalg.svd(np.ldexp(self.lambda_x, -e), full_matrices=False)
         keep = s > RANK_RCOND * s.max(initial=0.0)
         # A direction whose inverse gain is not a finite float64 is numerically zero.
@@ -106,9 +104,9 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
     lambda_y = np.array(model.state.lambda_y, dtype=np.float64)
     notes = ()
     if lambda_x.any():
-        f = svd(lambda_x)
+        f = svd(lambda_x, canonical_signs=False)  # the norms and products below cancel matched flips
         leverage = np.linalg.norm(model.state.delta_x @ f.u, axis=0)
-        unstable = leverage > STABILITY_THRESHOLD * np.maximum(f.s, 1e-300)
+        unstable = leverage > STABILITY_THRESHOLD * f.s
         if unstable.any():
             keep = ~unstable
             lambda_x = (f.u[:, keep] * f.s[keep]) @ f.v[:, keep].T

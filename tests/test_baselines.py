@@ -168,15 +168,15 @@ class TestPls:
         assert factors.weights.shape == (5, 1)
         assert model.notes
 
-    def test_zero_score_variance_stops(self, rng):
-        # Scores of x ~ 1e-170 square below the smallest float64, while X^T Y stays normal.
+    def test_unrepresentable_coefficients_raise(self, rng):
+        # Coefficients of about 1e370 are beyond float64, so PLS raises as MLR
+        # and PCR do, though its rounds on scaled blocks run as at any scale.
         x = 1e-170 * rng.standard_normal((20, 5))
         y = 1e200 * rng.standard_normal((20, 1))
-        factors, model = fit_pls_nipals(x, y, k=2)
-        assert model.n_components == 0
-        assert model.notes == ("zero score variance after 0 of 2 components",)
-        assert factors.weights.shape == (5, 0)
-        assert not model.theta.any()
+        for fit in (fit_mlr, lambda x, y: fit_pcr(x, y, 2), lambda x, y: fit_pls_nipals(x, y, 2)):
+            with pytest.raises(InvalidInputError, match="'theta' has a non-finite entry"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                fit(x, y)
 
     @pytest.mark.parametrize("n, p, rank, x_scale, y_scale", [
         (40, 8, 8, 1.0, 1.0),
@@ -195,17 +195,32 @@ class TestPls:
         assert model.n_components >= 1
         np.testing.assert_allclose(np.tril(pw), np.eye(model.n_components), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("scale", [1e80, 1e140])
-    def test_large_scale_fits_every_component(self, rng, scale):
-        # Cross-covariance entries of about 1e161 and up are finite, but the
-        # sum of their squares is not: an unscaled norm read inf, warned,
-        # and stopped the fit before its first component.
+    @pytest.mark.parametrize("x_scale, y_scale", [
+        (1e80, 1e80), (1e140, 1e140), (1e-155, 1e-155), (2.0**-1000, 2.0**-1000), (2.0**-1000, 2.0**-600),
+        (1e155, 1e155), (1e200, 1e200), (2.0**1000, 2.0**1000), (2.0**1000, 2.0**700),
+    ], ids=["1e80", "1e140", "1e-155", "2^-1000", "2^-1000,y2^-600", "1e155", "1e200", "2^1000", "2^1000,y2^700"])
+    def test_fits_every_component_at_any_scale(self, rng, x_scale, y_scale):
+        # The rounds run on blocks scaled by powers of two, so no product or
+        # norm in them overflows or underflows at any of these scales.
+        # Warnings are errors here, so every fit is also free of them.
         x = rng.standard_normal((30, 5))
         y = x @ rng.standard_normal((5, 1)) + 0.1 * rng.standard_normal((30, 1))
-        _, want = fit_pls_nipals(x, y, k=3)
-        _, model = fit_pls_nipals(x * scale, y * scale, k=3)
+        want_factors, want = fit_pls_nipals(x, y, k=3)
+        factors, model = fit_pls_nipals(x * x_scale, y * y_scale, k=3)
         assert (model.n_components, model.notes) == (3, ())
-        np.testing.assert_allclose(model.theta, want.theta, rtol=1e-12)
+        unit = y_scale / x_scale
+        np.testing.assert_allclose(model.theta, want.theta * unit, rtol=1e-12)
+        if np.frexp(x_scale)[0] == np.frexp(y_scale)[0] == 0.5:
+            # Powers of two scale every step of the fit exactly.
+            np.testing.assert_array_equal(factors.weights, want_factors.weights)
+            np.testing.assert_array_equal(factors.x_loadings, want_factors.x_loadings)
+            np.testing.assert_array_equal(factors.scores, want_factors.scores * x_scale)
+            np.testing.assert_array_equal(factors.y_loadings, want_factors.y_loadings * unit)
+            np.testing.assert_array_equal(model.theta, want.theta * unit)
+        for fit in (fit_mlr, lambda x, y: fit_pcr(x, y, 3)):
+            base, scaled = fit(x, y), fit(x * x_scale, y * y_scale)
+            assert (scaled.n_components, scaled.notes) == (base.n_components, base.notes)
+            np.testing.assert_allclose(scaled.theta, base.theta * unit, rtol=1e-12)
 
     def test_scores_match_deflation(self, rng):
         x = rng.standard_normal((25, 6))

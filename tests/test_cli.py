@@ -103,6 +103,14 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (out / "x.csv").exists()
 
+    def test_rank_short_spec_rejected(self, tmp_path, capsys):
+        # Three rows cannot hold an x of rank 5.
+        out = tmp_path / "data"
+        assert run_cli("synth", "--n", "3", "--k", "5", "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: k_true=5 must be at most min(n, p - n_collinear)")
+        assert not out.exists()
+
 
 # Config files whose errors name the file; the first, with a byte-order mark, loads.
 CONFIG_FILES = [

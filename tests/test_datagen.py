@@ -34,6 +34,15 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             SynthSpec(n=0)
 
+    @pytest.mark.parametrize("n, p, n_collinear", [(3, 10, 2), (50, 10, 8)], ids=["n-below-k", "mixes-below-k"])
+    def test_k_true_must_fit_the_rank_of_x(self, n, p, n_collinear):
+        # x has rank at most min(n, p - n_collinear), so neither spec can
+        # give it rank 5; a spec at the limit is accepted.
+        with pytest.raises(ConfigError, match=rf"^k_true=5 must be at most min\(n, p - n_collinear\) .*"
+                                              rf"got n={n}, p={p}, n_collinear={n_collinear}$"):
+            SynthSpec(n=n, p=p, k_true=5, n_collinear=n_collinear)
+        SynthSpec(n=5, p=n_collinear + 5, k_true=5, n_collinear=n_collinear)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan, "0.1", None])
     def test_noise_sigma_must_be_finite(self, value):
         with pytest.raises(ConfigError, match="noise_sigma"):

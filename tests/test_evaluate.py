@@ -200,6 +200,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(x, y, ([0, 1], [2]), ["OLS"])
 
+    @pytest.mark.parametrize("train, test, dtypes", [
+        ([0.5, 1.7, 2.9], [4, 5], "float64 and int64"),
+        (np.arange(30) < 20, np.arange(30) >= 20, "bool and bool"),
+    ], ids=["float", "bool"])
+    def test_split_indices_must_be_integers(self, train, test, dtypes):
+        # Neither is cast: a float split would run as its truncated rows.
+        x, y, _ = generate(SynthSpec(n=30, p=10, n_collinear=2, seed=27))
+        with pytest.raises(ConfigError, match=f"^split indices must be integers, got {dtypes}$"):
+            run_experiment(x, y, (train, test), ["MLR"])
+
     def test_method_list_validation(self):
         # As in rpls bench: no method is an error, and so is a repeated tag,
         # which would be fitted twice but reported once.

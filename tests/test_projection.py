@@ -12,8 +12,10 @@ from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject
 from robustpls.errors import DimensionError, InvalidInputError
 from robustpls import projection
 from robustpls.io import load_model, model_to_dict, save_model
+from robustpls.linalg import svd
 from robustpls.projection import (
     DEFICIENT_NOTE,
+    STABILITY_THRESHOLD,
     ZERO_NOTE,
     ProjectionRegressor,
     from_pls,
@@ -185,6 +187,24 @@ class TestFromRpls:
             err_raw = np.linalg.norm(predict_projection(raw, x[test]) - y[test])
             scale = np.linalg.norm(y[test])
             assert err_screened / scale < 1.0 < err_raw / scale
+
+    def test_screen_gives_the_bits_of_canonical_factors(self):
+        # The screen takes LAPACK's signs: a matched sign flip of a u and v
+        # column leaves the leverage norms and both rebuilt loadings the
+        # same bit for bit.
+        for x, y, train, test, y_bad in hijacked_datasets():
+            model = fit(x[train], y_bad, RplsConfig(k=5))
+            f = svd(model.state.lambda_x)
+            keep = np.linalg.norm(model.state.delta_x @ f.u, axis=0) <= STABILITY_THRESHOLD * f.s
+            assert not keep.all()
+            v = f.v[:, keep]
+            screened = from_rpls(model)
+            rebuilt = ProjectionRegressor(
+                lambda_x=(f.u[:, keep] * f.s[keep]) @ v.T, lambda_y=model.state.lambda_y @ v @ v.T,
+                x_means=model.x_means, y_means=model.y_means, source_tag="RPLS", notes=screened.notes,
+            )
+            for name in ("lambda_x", "lambda_y", "w", "offset"):
+                np.testing.assert_array_equal(getattr(screened, name), getattr(rebuilt, name), err_msg=name)
 
     def test_screen_inert_on_clean_fit(self):
         x, y, _ = generate(SynthSpec(seed=3))
