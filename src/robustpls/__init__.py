@@ -30,7 +30,7 @@ from .errors import (
     SolverError,
 )
 from .evaluate import ConfidenceEllipse, ExperimentReport, confidence_ellipse, nmse, run_experiment
-from .linalg import SvdFactors, procrustes_orthonormal, singular_value_threshold, soft_threshold, svd
+from .linalg import procrustes_orthonormal, singular_value_threshold, soft_threshold, svd
 from .projection import ProjectionRegressor, from_pls, from_rpls, predict_projection, project
 from .rpls import RplsConfig, RplsModel, RplsState, fit
 
@@ -64,7 +64,6 @@ __all__ = [
     "confidence_ellipse",
     "nmse",
     "run_experiment",
-    "SvdFactors",
     "procrustes_orthonormal",
     "singular_value_threshold",
     "soft_threshold",

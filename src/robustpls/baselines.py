@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, check_fields
+from .errors import ConfigError, DimensionError, SolverError, check_fields
 from .linalg import _check_arrays, _check_k, _exponent, _finite, _matched_rows, _matrix, svd
 
 __all__ = [
@@ -87,9 +87,20 @@ def _center(x, y):
     error and not data, whatever ``RANK_RCOND`` allows.
     """
     x, y = _matched_rows(x, y)
-    x_means, y_means = x.mean(axis=0), y.mean(axis=0)
+    x_means, y_means = _column_means(x), _column_means(y)
     floor = 10.0 * np.finfo(np.float64).eps * math.sqrt(x.size) * float(np.abs(x).max())
     return x - x_means, y - y_means, x_means, y_means, floor
+
+
+def _column_means(a) -> np.ndarray:
+    """``a.mean(axis=0)``, taken on each column scaled by a power of two to a
+    largest entry in [0.5, 1), so that no sum overflows on finite data.
+
+    The scaling is exact, so the means are those of ``a.mean(axis=0)`` bit
+    for bit wherever that is finite and no scaled entry is subnormal.
+    """
+    e = np.frexp(np.abs(a).max(axis=0))[1]
+    return np.ldexp(np.ldexp(a, -e).mean(axis=0), e)
 
 
 def fit_mlr(x, y) -> LinearModel:
@@ -101,12 +112,15 @@ def fit_mlr(x, y) -> LinearModel:
     centering's rounding floor, count as zero.
     """
     xc, yc, x_means, y_means, floor = _center(x, y)
-    theta, _, rank, s = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
-    # lstsq takes its cutoff relative to the largest singular value, which
-    # only its own decomposition finds; it solves again only in the rare
-    # case that the floor drops a direction RANK_RCOND kept.
-    if np.count_nonzero(s > floor) < rank:
-        theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=floor / s[0])
+    try:
+        theta, _, rank, s = np.linalg.lstsq(xc, yc, rcond=RANK_RCOND)
+        # lstsq takes its cutoff relative to the largest singular value, which
+        # only its own decomposition finds; it solves again only in the rare
+        # case that the floor drops a direction RANK_RCOND kept.
+        if np.count_nonzero(s > floor) < rank:
+            theta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=floor / s[0])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"least squares did not converge for {xc.shape[0]}x{xc.shape[1]} matrix") from exc
     notes = ()
     if rank < xc.shape[1]:
         notes = (f"rank deficient predictors (rank {rank} < {xc.shape[1]}): pseudoinverse solution",)
@@ -124,16 +138,15 @@ def fit_pcr(x, y, k: int) -> LinearModel:
     """Principal component regression with the top-k score directions."""
     xc, yc, x_means, y_means, floor = _center(x, y)
     _check_k(k, xc.shape)
-    f = svd(xc, canonical_signs=False)  # theta cancels a matched sign flip of u and v
-    s = f.s[:k]
-    keep = s > max(RANK_RCOND * f.s[0], floor)
+    u, s, vt = svd(xc, canonical_signs=False)  # theta cancels a matched sign flip of u and vt
+    keep = s[:k] > max(RANK_RCOND * s[0], floor)
     notes = ()
     if not keep.all():
         notes = (f"{int((~keep).sum())} of {k} score directions numerically zero: dropped",)
     # Regress on scores u*s, fold back: theta = V_k S_k^{-1} U_k^T y.
-    u = f.u[:, :k][:, keep]
-    v = f.v[:, :k][:, keep]
-    theta = (v / s[keep]) @ (u.T @ yc)
+    u = u[:, :k][:, keep]
+    v = vt.T[:, :k][:, keep]
+    theta = (v / s[:k][keep]) @ (u.T @ yc)
     return LinearModel(
         theta=theta,
         x_means=x_means,
@@ -185,7 +198,7 @@ def fit_pls_nipals(x, y, k: int):
         if np.linalg.norm(cov) <= max(RANK_RCOND * cov_scale, cov_floor):
             notes = (f"cross-covariance vanished after {j} of {k} components",)
             break
-        w = svd(cov).u[:, 0]
+        w = svd(cov)[0][:, 0]
         t = x_res @ w
         tt = float(t @ t)
         p_load = x_res.T @ t / tt

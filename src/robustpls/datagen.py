@@ -146,10 +146,10 @@ def generate(spec: SynthSpec):
     if spec.noise_sigma > 0:
         y = y + spec.noise_sigma * rng.standard_normal((n, r))
 
-    f = svd(x)
+    u, s, vt = svd(x)
     truth = SynthTruth(
-        q_true=f.u[:, :k],
-        loadings=f.v[:, :k] * f.s[:k],
+        q_true=u[:, :k],
+        loadings=vt.T[:, :k] * s[:k],
         theta_true=theta,
     )
     return x, y, truth

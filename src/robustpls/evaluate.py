@@ -130,8 +130,8 @@ def _fit_mlr(x, y, config):
 def _fit_pcr(x, y, config):
     k = config.k
     model = baselines.fit_pcr(x, y, k)
-    f = svd(x - x.mean(axis=0))
-    return model, f.u[:, :k] * f.s[:k]
+    u, s, _ = svd(x - model.x_means)
+    return model, u[:, :k] * s[:k]
 
 
 def _fit_plsr(x, y, config):

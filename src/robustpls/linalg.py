@@ -8,14 +8,12 @@ columns. All functions are pure and deterministic.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InvalidInputError, SolverError
 
 __all__ = [
-    "SvdFactors",
     "as_matrix",
     "soft_threshold",
     "svd",
@@ -84,22 +82,7 @@ def _exponent(a) -> int:
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``u @ diag(s) @ v.T`` with orthonormal u, v columns.
-
-    Singular values are nonincreasing. Canonical factors (the default of
-    ``svd``) fix the largest-magnitude entry of each left singular vector
-    to be nonnegative so factorizations are reproducible across backends;
-    factors from ``svd(a, canonical_signs=False)`` carry LAPACK's signs.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def svd(a, *, canonical_signs: bool = True) -> SvdFactors:
+def svd(a, *, canonical_signs: bool = True):
     """Thin singular value decomposition, by default with a deterministic sign convention.
 
     Parameters
@@ -107,16 +90,19 @@ def svd(a, *, canonical_signs: bool = True) -> SvdFactors:
     a : array_like
         Matrix of shape (m, n); all entries must be finite.
     canonical_signs : bool, keyword-only
-        With True (the default) each u column is flipped, with its v column,
-        so that its largest-magnitude entry is nonnegative. With False the
-        factors are LAPACK's as they come. Callers whose output is ``u @ v.T``
-        or ``(u * s) @ v.T`` pass False: IEEE negation is exact, so a matched
-        flip leaves those products the same bit for bit.
+        With True (the default) each u column is flipped, with its vt row,
+        so that its largest-magnitude entry is nonnegative; factorizations
+        are then reproducible across backends. With False the factors are
+        ``np.linalg.svd(a, full_matrices=False)`` as they come. Callers
+        whose output is ``u @ vt`` or ``(u * s) @ vt`` pass False: IEEE
+        negation is exact, so a matched flip leaves those products the same
+        bit for bit.
 
     Returns
     -------
-    SvdFactors
-        u (m, k), s (k,), v (n, k) with k = min(m, n).
+    (u, s, vt)
+        u (m, k) and vt (k, n) with orthonormal columns and rows, and the
+        nonincreasing singular values s (k,), with k = min(m, n).
 
     Raises
     ------
@@ -129,14 +115,12 @@ def svd(a, *, canonical_signs: bool = True) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix") from exc
     if not canonical_signs:
-        return SvdFactors(u=u, s=s, v=vt.T)
-    # Flip signs so each u column has a nonnegative largest-magnitude entry.
+        return u, s, vt
+    # Flip signs so each u column has a positive largest-magnitude entry:
+    # a unit-norm column has no zero largest entry.
     anchor = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[anchor, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    u = u * signs
-    vt = vt * signs[:, None]
-    return SvdFactors(u=u, s=s, v=vt.T)
+    return u * signs, s, vt * signs[:, None]
 
 
 def soft_threshold(k, eps: float) -> np.ndarray:
@@ -185,23 +169,22 @@ def singular_value_threshold(a, tau: float) -> np.ndarray:
         if sigma == 0.0:
             return np.zeros_like(m)
         return m * (max(sigma - tau, 0.0) / sigma)
-    f = svd(a, canonical_signs=False)
-    s_shrunk = np.maximum(f.s - tau, 0.0)
-    return (f.u * s_shrunk) @ f.v.T
+    u, s, vt = svd(a, canonical_signs=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 def procrustes_orthonormal(d) -> np.ndarray:
     """Orthonormal-column matrix maximizing ``trace(d.T @ q)``.
 
     Given ``d`` of shape (n, k) with ``n >= k`` and thin SVD
-    ``d = u @ diag(s) @ v.T``, the maximizer over all (n, k) matrices
-    with orthonormal columns is ``q = u @ v.T``. The zero matrix maps
+    ``d = u @ diag(s) @ vt``, the maximizer over all (n, k) matrices
+    with orthonormal columns is ``q = u @ vt``. The zero matrix maps
     to ``eye(n, k)``, because LAPACK returns identity factors for it; the
     SVD sign convention plays no part, since no matched sign flip of u and
-    v changes ``u @ v.T``.
+    vt changes ``u @ vt``.
     """
-    f = svd(d, canonical_signs=False)  # svd checks d, once
-    n, k = f.u.shape[0], f.v.shape[0]
+    u, _, vt = svd(d, canonical_signs=False)  # svd checks d, once
+    n, k = u.shape[0], vt.shape[1]
     if n < k:
         raise DimensionError(f"d must be tall or square, got shape ({n}, {k})")
-    return f.u @ f.v.T
+    return u @ vt

@@ -104,13 +104,14 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
     lambda_y = np.array(model.state.lambda_y, dtype=np.float64)
     notes = ()
     if lambda_x.any():
-        f = svd(lambda_x, canonical_signs=False)  # the norms and products below cancel matched flips
-        leverage = np.linalg.norm(model.state.delta_x @ f.u, axis=0)
-        unstable = leverage > STABILITY_THRESHOLD * f.s
+        u, s, vt = svd(lambda_x, canonical_signs=False)  # the norms and products below cancel matched flips
+        leverage = np.linalg.norm(model.state.delta_x @ u, axis=0)
+        unstable = leverage > STABILITY_THRESHOLD * s
         if unstable.any():
             keep = ~unstable
-            lambda_x = (f.u[:, keep] * f.s[keep]) @ f.v[:, keep].T
-            lambda_y = lambda_y @ f.v[:, keep] @ f.v[:, keep].T
+            v = vt.T[:, keep]
+            lambda_x = (u[:, keep] * s[keep]) @ v.T
+            lambda_y = lambda_y @ v @ v.T
             notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",)
     return ProjectionRegressor(
         lambda_x=lambda_x,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, InvalidInputError, check_fields
 from .linalg import _check_k, _matched_rows, procrustes_orthonormal, singular_value_threshold, soft_threshold
 
 __all__ = [
@@ -104,7 +104,12 @@ class RplsConfig:
         lam = 1.0 / math.sqrt(max(n, p))
         tol = self.tol
         if tol is None:
-            tol = 1e-6 * (np.linalg.norm(x) + np.linalg.norm(y))
+            with np.errstate(over="ignore"):
+                tol = 1e-6 * (np.linalg.norm(x) + np.linalg.norm(y))
+            if not math.isfinite(tol):
+                raise InvalidInputError(
+                    "the Frobenius norm of the centered data overflows float64, so the default tol is not finite"
+                )
             if tol <= 0.0:  # all-zero data
                 tol = 1e-12
         return replace(

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from robustpls import baselines
 from robustpls.baselines import LinearModel, fit_mlr, fit_pcr, fit_pls_nipals, predict
 from robustpls.datagen import SynthSpec, generate
-from robustpls.errors import ConfigError, DimensionError, InvalidInputError
+from robustpls.errors import ConfigError, DimensionError, InvalidInputError, SolverError
 
 from conftest import random_orthonormal
 
@@ -80,8 +81,8 @@ class TestPcr:
 
         x = rng.standard_normal((30, 7))
         xc = x - x.mean(axis=0)
-        f = svd(xc)
-        scores = f.u[:, :4] * f.s[:4]
+        u, s, _ = svd(xc)
+        scores = u[:, :4] * s[:4]
         gram = scores.T @ scores
         np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-8)
 
@@ -260,6 +261,38 @@ def test_rank_holds_far_from_the_origin(shape):
             assert (model.n_components, model.notes) == (want.n_components, want.notes), (c, method)
             norm, want_norm = np.linalg.norm(model.theta), np.linalg.norm(want.theta)
             assert abs(norm - want_norm) <= 1e-9 * want_norm, (c, method)
+
+
+def near_max_data():
+    """150x5 x whose column sums overflow float64, though every entry and the centered x are finite."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((150, 5)) * 1e306 + 1e307, rng.standard_normal((150, 1))
+
+
+class TestCenter:
+    @pytest.mark.parametrize("fit", [fit_mlr, lambda x, y: fit_pcr(x, y, 3), lambda x, y: fit_pls_nipals(x, y, 3)[1]],
+                             ids=["mlr", "pcr", "plsr"])
+    def test_fits_data_whose_column_sums_overflow(self, fit):
+        # Warnings are errors here, so the fit also runs without one.
+        x, y = near_max_data()
+        model = fit(x, y)
+        assert np.isfinite(model.x_means).all() and not model.notes
+        assert np.isfinite(predict(model, x)).all()
+
+    def test_column_means_are_numpys_where_they_are_finite(self, rng):
+        for spec, rows in RANK_5_DATA.values():
+            x, y, _ = generate(spec)
+            tiny_column = rng.standard_normal((7, 3)) * [1e-300, 1.0, 0.0]
+            for a in (x[:rows], y[:rows], x * 2.0**-1000, x * 1e300 + 1e301, tiny_column):
+                assert baselines._column_means(a).tobytes() == a.mean(axis=0).tobytes()
+
+    def test_lstsq_failure_is_solver_error(self, rng, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        with pytest.raises(SolverError, match="least squares did not converge for 20x4 matrix"):
+            fit_mlr(rng.standard_normal((20, 4)), rng.standard_normal((20, 1)))
 
 
 class TestPredict:

@@ -610,6 +610,30 @@ class TestCliErrors:
         assert capsys.readouterr().err.splitlines() == [f"error: {match}"]
         assert not out.exists()
 
+    def test_default_tol_overflow_is_one_error_line(self, tmp_path, capsys):
+        x, y, _ = generate(SynthSpec(seed=1))
+        write_csv(tmp_path / "x.csv", x * 1e160)
+        write_csv(tmp_path / "y.csv", y * 1e160)
+        out = tmp_path / "out"
+        assert run_cli("fit", "--method", "rpls", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                       "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the Frobenius norm of the centered data overflows")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mlr", "pcr", "plsr"])
+    def test_fits_data_whose_column_sums_overflow(self, tmp_path, capsys, method):
+        rng = np.random.default_rng(0)
+        write_csv(tmp_path / "x.csv", rng.standard_normal((150, 5)) * 1e306 + 1e307)
+        write_csv(tmp_path / "y.csv", rng.standard_normal((150, 1)))
+        out = tmp_path / "out"
+        assert run_cli("fit", "--method", method, "--k", "3", "--x", str(tmp_path / "x.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("predict", "--model", str(out / "model.json"), "--x", str(tmp_path / "x.csv"),
+                       "--out-dir", str(tmp_path / "pred")) == 0
+        assert np.isfinite(load_csv(tmp_path / "pred" / "predictions.csv")).all()
+
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--method", "ridge", "--x", "x.csv", "--y", "y.csv",

@@ -5,14 +5,16 @@ digest of the final state of ``fit`` on a 150x40x4 problem with sparse
 outliers and a 60x401x1 problem with low-tail outliers. The test requires
 bitwise equality, so a change meant to keep the solver's arithmetic (a
 refactor, a speedup) is checked against the exact numbers. Floating-point
-results depend on the numpy build and the BLAS, so the file also records
-both and the test skips, saying why, when either differs.
+results depend on the numpy build, the BLAS and its thread count (OpenBLAS
+splits a long dot product by thread), so the file also records all three and
+the test skips, saying why, when any differs.
 
 A change that alters the trace on purpose regenerates the file with::
 
     python tests/test_golden_trace.py --write
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -46,14 +48,40 @@ K = 5
 STATE_FIELDS = ("q", "lambda_x", "lambda_y", "delta_x", "delta_y", "l", "m")
 
 
+def blas_threads():
+    """Thread count reported by the OpenBLAS library numpy loaded, if any.
+
+    The same lookup as ``perfbench/run.py::_blas_threads``, copied because
+    importing ``run.py`` sets up the benchmark's own import path.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return fn()
+    return None
+
+
 def environment() -> dict:
-    """The numpy version and the BLAS it was built against."""
+    """The numpy version, the BLAS it was built against and its thread count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):  # numpy without structured build info
         blas = None
-    return {"numpy": np.__version__, "blas": blas}
+    return {"numpy": np.__version__, "blas": blas, "blas_threads": blas_threads()}
 
 
 def run(name: str) -> dict:
@@ -82,8 +110,11 @@ def _golden() -> dict:
 def test_residual_trace_bitwise(name):
     golden = _golden()
     env = environment()
-    if env["blas"] is None or env != golden["environment"]:
-        pytest.skip(f"golden traces were recorded with {golden['environment']}, this is {env}")
+    recorded = golden["environment"]
+    if env["blas"] is None or env != recorded:
+        differs = ", ".join(key for key in recorded if env.get(key) != recorded[key]) or "blas"
+        pytest.skip(f"the environment differs in {differs}: "
+                    f"golden traces were recorded with {recorded}, this is {env}")
     got = run(name)
     want = golden["problems"][name]
     assert len(got["trace"]) == len(want["trace"]), "iteration count changed"

@@ -76,47 +76,69 @@ class TestSoftThreshold:
 
 class TestSvd:
     def test_identity(self):
-        f = svd(np.eye(3))
-        np.testing.assert_allclose(f.s, [1, 1, 1])
+        _, s, _ = svd(np.eye(3))
+        np.testing.assert_allclose(s, [1, 1, 1])
 
     def test_diagonal(self):
-        f = svd(np.diag([5.0, 3.0]))
-        np.testing.assert_allclose(f.s, [5, 3])
-        np.testing.assert_allclose(np.abs(f.u), np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(np.abs(f.v), np.eye(2), atol=1e-14)
+        u, s, vt = svd(np.diag([5.0, 3.0]))
+        np.testing.assert_allclose(s, [5, 3])
+        np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(np.abs(vt), np.eye(2), atol=1e-14)
 
     def test_reconstruction_oracle(self, rng):
         m = rng.standard_normal((10, 4))
-        f = svd(m)
-        err = np.linalg.norm((f.u * f.s) @ f.v.T - m) / np.linalg.norm(m)
+        u, s, vt = svd(m)
+        err = np.linalg.norm((u * s) @ vt - m) / np.linalg.norm(m)
         assert err < 1e-8
 
     def test_factor_invariants(self, rng):
         for shape in [(7, 3), (3, 7), (5, 5)]:
             m = rng.standard_normal(shape)
-            f = svd(m)
+            u, s, vt = svd(m)
             k = min(shape)
-            assert f.u.shape == (shape[0], k) and f.v.shape == (shape[1], k)
-            assert np.linalg.norm(f.u.T @ f.u - np.eye(k)) < 1e-10
-            assert np.linalg.norm(f.v.T @ f.v - np.eye(k)) < 1e-10
-            assert (np.diff(f.s) <= 1e-15).all() and (f.s >= 0).all()
+            assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
+            assert np.linalg.norm(u.T @ u - np.eye(k)) < 1e-10
+            assert np.linalg.norm(vt @ vt.T - np.eye(k)) < 1e-10
+            assert (np.diff(s) <= 1e-15).all() and (s >= 0).all()
 
     def test_sign_convention(self, rng):
-        f = svd(rng.standard_normal((8, 5)))
-        anchors = np.argmax(np.abs(f.u), axis=0)
-        assert (f.u[anchors, np.arange(5)] >= 0).all()
+        u, _, _ = svd(rng.standard_normal((8, 5)))
+        anchors = np.argmax(np.abs(u), axis=0)
+        assert (u[anchors, np.arange(5)] >= 0).all()
 
     def test_deterministic(self, rng):
         m = rng.standard_normal((6, 4))
-        f1, f2 = svd(m), svd(m.copy())
-        np.testing.assert_array_equal(f1.u, f2.u)
-        np.testing.assert_array_equal(f1.s, f2.s)
-        np.testing.assert_array_equal(f1.v, f2.v)
+        for a, b in zip(svd(m), svd(m.copy())):
+            np.testing.assert_array_equal(a, b)
 
     def test_zero_matrix(self):
-        f = svd(np.zeros((4, 2)))
-        np.testing.assert_array_equal(f.s, [0.0, 0.0])
-        np.testing.assert_allclose(f.u @ f.v.T, np.eye(4, 2))
+        u, s, vt = svd(np.zeros((4, 2)))
+        np.testing.assert_array_equal(s, [0.0, 0.0])
+        np.testing.assert_allclose(u @ vt, np.eye(4, 2))
+
+    def test_returns_numpys_triple(self, rng):
+        for a in special_inputs(rng):
+            got = svd(a, canonical_signs=False)
+            want = np.linalg.svd(a, full_matrices=False)
+            assert isinstance(got, tuple) and len(got) == 3
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_canonical_factors_are_lapacks_with_matched_flips(self, rng):
+        for a in special_inputs(rng):
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+            cu, cs, cvt = svd(a)
+            assert cs.tobytes() == s.tobytes()
+            assert cu.tobytes() == (u * signs).tobytes()
+            assert cvt.tobytes() == (vt * signs[:, None]).tobytes()
+
+    def test_no_factor_wrapper_is_public(self):
+        # The decomposition is numpy's triple: no public Svd* type wraps it.
+        import robustpls
+
+        assert not [name for name in robustpls.__all__ if name.startswith("Svd")]
+        assert not [name for name in linalg.__all__ if isinstance(getattr(linalg, name), type)]
 
 
 # The solver loop's SVD shapes: Procrustes on n x k, SVT on p x k and r x k.
@@ -140,8 +162,8 @@ class TestSignFreeKernels:
         for d in special_inputs(rng):
             if d.shape[0] < d.shape[1]:
                 continue
-            f = svd(d)
-            assert procrustes_orthonormal(d).tobytes() == (f.u @ f.v.T).tobytes()
+            u, _, vt = svd(d)
+            assert procrustes_orthonormal(d).tobytes() == (u @ vt).tobytes()
 
     def test_svt_equals_canonical_product(self, rng):
         # A one-row or one-column block is shrunk without an SVD; see
@@ -150,18 +172,18 @@ class TestSignFreeKernels:
             if min(a.shape) < 2:
                 continue
             for tau in (0.0, 0.3, float(np.linalg.norm(a, 2))):
-                f = svd(a)
-                expected = (f.u * np.maximum(f.s - tau, 0.0)) @ f.v.T
+                u, s, vt = svd(a)
+                expected = (u * np.maximum(s - tau, 0.0)) @ vt
                 assert singular_value_threshold(a, tau).tobytes() == expected.tobytes()
 
     def test_raw_factors_are_a_matched_sign_flip(self, rng):
         for a in special_inputs(rng):
-            raw, canon = svd(a, canonical_signs=False), svd(a)
-            assert raw.s.tobytes() == canon.s.tobytes()
-            np.testing.assert_allclose((raw.u * raw.s) @ raw.v.T, a, atol=1e-12 * max(1.0, np.abs(a).max()))
-            signs = np.where(raw.u[np.argmax(np.abs(raw.u), axis=0), np.arange(raw.u.shape[1])] < 0, -1.0, 1.0)
-            assert (raw.u * signs).tobytes() == canon.u.tobytes()
-            assert (raw.v * signs).tobytes() == canon.v.tobytes()
+            (u, s, vt), (cu, cs, cvt) = svd(a, canonical_signs=False), svd(a)
+            assert s.tobytes() == cs.tobytes()
+            np.testing.assert_allclose((u * s) @ vt, a, atol=1e-12 * max(1.0, np.abs(a).max()))
+            signs = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+            assert (u * signs).tobytes() == cu.tobytes()
+            assert (vt.T * signs).tobytes() == cvt.T.tobytes()
 
 
 class TestVectorSingularValueThreshold:

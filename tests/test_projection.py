@@ -189,18 +189,18 @@ class TestFromRpls:
             assert err_screened / scale < 1.0 < err_raw / scale
 
     def test_screen_gives_the_bits_of_canonical_factors(self):
-        # The screen takes LAPACK's signs: a matched sign flip of a u and v
+        # The screen takes LAPACK's signs: a matched sign flip of a u and vt
         # column leaves the leverage norms and both rebuilt loadings the
         # same bit for bit.
         for x, y, train, test, y_bad in hijacked_datasets():
             model = fit(x[train], y_bad, RplsConfig(k=5))
-            f = svd(model.state.lambda_x)
-            keep = np.linalg.norm(model.state.delta_x @ f.u, axis=0) <= STABILITY_THRESHOLD * f.s
+            u, s, vt = svd(model.state.lambda_x)
+            keep = np.linalg.norm(model.state.delta_x @ u, axis=0) <= STABILITY_THRESHOLD * s
             assert not keep.all()
-            v = f.v[:, keep]
+            v = vt.T[:, keep]
             screened = from_rpls(model)
             rebuilt = ProjectionRegressor(
-                lambda_x=(f.u[:, keep] * f.s[keep]) @ v.T, lambda_y=model.state.lambda_y @ v @ v.T,
+                lambda_x=(u[:, keep] * s[keep]) @ v.T, lambda_y=model.state.lambda_y @ v @ v.T,
                 x_means=model.x_means, y_means=model.y_means, source_tag="RPLS", notes=screened.notes,
             )
             for name in ("lambda_x", "lambda_y", "w", "offset"):

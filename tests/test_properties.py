@@ -10,7 +10,10 @@ one-row loading is covered:
   ``lambda_x`` and the columns of ``delta_x``, and leaves the scores;
 - translation through predict: every method of ``evaluate.METHODS`` fit
   on ``X + c·spread`` predicts ``X_test + c·spread`` as its fit on X
-  predicts ``X_test``, with the same rank notes, for c up to 1e8.
+  predicts ``X_test``, with the same rank notes, for c up to 1e8;
+- degenerate data: every method fits a constant or a duplicated column,
+  ``k = min(n, p)``, ``n < p`` and an all-zero Y with no warning and finite
+  predictions, and predicts exactly zero from an all-zero Y.
 
 The data are moved exactly only up to rounding, so the fits agree within
 ``TOL``, not bit for bit: the largest entrywise gap of the scores, and of
@@ -37,7 +40,10 @@ was 41. With X cut to its rank-two part none passed 3.3 (300 draws, 60
 for RPLS). ``PREDICT_TOL`` allows 200.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -169,3 +175,46 @@ def test_translation_through_predict(problem, exact_rank, seed):
             assert rank_notes(moved) == rank_notes(base), (name, c)
             gap = np.abs(evaluate.predict_model(moved, x_test + c * spread) - want).max()
             assert gap <= PREDICT_TOL * c * scale, (name, c, gap / (c * scale))
+
+
+DEGENERATE = ("constant column", "duplicated column", "k = min(n, p)", "n < p", "all-zero y")
+
+
+@st.composite
+def degenerate_problems(draw, case):
+    """``(x, y, k)`` from ``problems`` made degenerate as ``case`` says; "n < p" draws its own shape."""
+    x, y, k = draw(problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = x.shape
+    if case == "constant column":
+        x[:, draw(st.integers(0, p - 1))] = draw(st.sampled_from([0.0, 0.1, -3.5, 1e3]))
+    elif case == "duplicated column":
+        i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        x[:, j] = x[:, i]
+    elif case == "k = min(n, p)":
+        k = min(n, p)
+    elif case == "n < p":
+        n = draw(st.integers(3, 8))
+        p = draw(st.integers(n + 1, 3 * n))
+        x = rng.standard_normal((n, 2)) @ rng.standard_normal((2, p)) + 0.1 * rng.standard_normal((n, p))
+        y = y[:n]
+        k = min(k, n)
+    else:
+        y = np.zeros_like(y)
+    return x, y, k
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_degenerate_data_fit_and_predict(case, data):
+    x, y, k = data.draw(degenerate_problems(case))
+    config = RplsConfig(k=k)
+    for name, method in evaluate.METHODS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = method.fit(x, y, config)
+            y_hat = evaluate.predict_model(model, x)
+        assert y_hat.shape == y.shape and np.isfinite(y_hat).all(), name
+        if case == "all-zero y":
+            assert not y_hat.any(), name

@@ -162,6 +162,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"k must be in \[1, 6\], got 7"):
             RplsConfig(k=7).resolve(x, y)
 
+    def test_default_tol_overflow_blames_the_data(self):
+        # The norm of these data overflows float64, so the default tol would
+        # be infinite: the data are at fault, not a tol the caller never gave.
+        x, y, _ = generate(SynthSpec(seed=1))
+        with pytest.raises(InvalidInputError, match="Frobenius norm of the centered data overflows float64"):
+            fit(x * 1e160, y * 1e160, RplsConfig())
+
     def test_explicit_values_win(self, rng):
         x = rng.standard_normal((10, 6))
         y = rng.standard_normal((10, 2))
