@@ -11,7 +11,7 @@ import numpy as np
 
 from . import baselines, projection, rpls
 from .errors import ConfigError, DegenerateEllipseError, DimensionError, InvalidInputError, MetricError
-from .linalg import _matched_rows, as_matrix, svd
+from .linalg import _exponent, _matched_rows, as_matrix, svd
 
 __all__ = [
     "METHODS",
@@ -29,15 +29,24 @@ logger = logging.getLogger(__name__)
 
 
 def nmse(y_true, y_est) -> float:
-    """Normalized error: ``||y_true - y_est||_F / ||y_true||_F``."""
+    """Normalized error: ``||y_true - y_est||_F / ||y_true||_F``.
+
+    Each norm is taken on its matrix scaled by a power of two to a largest
+    entry in [0.5, 1), so no sum of squares overflows on finite data, and the
+    ratio is scaled back: the value is the unscaled one bit for bit wherever
+    that is finite and no scaled entry is subnormal.
+    """
     y_true = as_matrix(y_true, "y_true")
     y_est = as_matrix(y_est, "y_est")
     if y_true.shape != y_est.shape:
         raise DimensionError(f"shape mismatch: {y_true.shape} vs {y_est.shape}")
-    denom = np.linalg.norm(y_true)
+    e = _exponent(y_true)
+    denom = np.linalg.norm(np.ldexp(y_true, -e))
     if denom == 0.0:
         raise MetricError("nmse is undefined for an all-zero reference")
-    return float(np.linalg.norm(y_true - y_est) / denom)
+    diff = y_true - y_est
+    f = _exponent(diff)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(diff, -f)) / denom, f - e))
 
 
 def chi2_quantile_2dof(coverage: float) -> float:
@@ -60,26 +69,27 @@ def confidence_ellipse(scores_2d, coverage: float = 0.95) -> ConfidenceEllipse:
     """Ellipse covering the given probability mass of a Gaussian score cloud.
 
     Built from the sample mean and covariance of the two columns,
-    scaled by the 2-dof chi-square quantile at ``coverage``.
+    scaled by the 2-dof chi-square quantile at ``coverage``. These are taken
+    on the scores scaled by a power of two, as ``nmse`` takes its norms, and
+    the center and semi-axes are scaled back.
     """
     scores = as_matrix(scores_2d, "scores_2d")
     if scores.shape[1] != 2:
         raise DimensionError(f"scores_2d must have exactly 2 columns, got {scores.shape[1]}")
     if scores.shape[0] < 3:
         raise InvalidInputError(f"need at least 3 score rows, got {scores.shape[0]}")
-    center = scores.mean(axis=0)
-    cov = np.cov(scores, rowvar=False, ddof=1)
-    evals, evecs = np.linalg.eigh(cov)  # ascending
+    e = _exponent(scores)
+    scaled = np.ldexp(scores, -e)
+    evals, evecs = np.linalg.eigh(np.cov(scaled, rowvar=False, ddof=1))  # ascending
     if evals[1] <= 0 or evals[0] <= 1e-12 * evals[1]:
         raise DegenerateEllipseError("score covariance is numerically singular")
     quantile = chi2_quantile_2dof(coverage)
-    semi_axes = np.sqrt(evals[::-1] * quantile)
     major = evecs[:, 1]
     if major[0] < 0 or (major[0] == 0 and major[1] < 0):
         major = -major
     return ConfidenceEllipse(
-        center=center,
-        semi_axes=semi_axes,
+        center=np.ldexp(scaled.mean(axis=0), e),
+        semi_axes=np.ldexp(np.sqrt(evals[::-1] * quantile), e),
         rotation_angle=float(math.atan2(major[1], major[0])),
     )
 

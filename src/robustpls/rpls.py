@@ -8,14 +8,15 @@ geometrically growing penalty ``alpha``, so they act as one constraint on
 ``[X Y]`` with one multiplier ``[l m]``. Each iteration runs
 Q -> Lx, Ly -> [Dx Dy] -> [l m] -> alpha and checks the primal residual.
 
-``fit`` keeps each stacked quantity in one flat ``(1, n*p + n*r)`` row,
-the X block row-major and then the Y block, and runs each elementwise step
-once per iteration on it, into reused buffers: ``[b a] = [l m]/alpha +
-[X Y] - [Dx Dy]``, ``z = [X Y] - Q [Lx Ly]^T`` and the residual
-``z - [Dx Dy]``. ``update_q`` and ``update_loadings`` take the blocks b and
-a, ``update_sparse`` z and ``[l m]/alpha``, ``update_multipliers`` the
-residual, and ``primal_residual`` (the stopping test) its two blocks. The
-blocks check nothing; ``fit`` checks its inputs' shapes once.
+``fit`` keeps each stacked quantity in one C-contiguous ``(n, p+r)``
+array, the X block in the first p columns, and the loadings in one
+``(p+r, k)`` array ``[Lx; Ly]``, so each step that reads both blocks is one
+product or one elementwise pass, into reused buffers: ``[b a] = [l m]/alpha
++ [X Y] - [Dx Dy]``, ``z = [X Y] - Q [Lx; Ly]^T`` and the residual
+``z - [Dx Dy]``. ``update_q`` and ``update_loadings`` take ``[b a]``,
+``update_sparse`` z and ``[l m]/alpha``, ``update_multipliers`` the
+residual, and ``primal_residual`` (the stopping test) its two column blocks.
+The blocks check nothing; ``fit`` checks its inputs' shapes once.
 """
 
 from __future__ import annotations
@@ -128,12 +129,12 @@ class RplsState:
     """
 
     q: np.ndarray         # n x k, orthonormal columns
-    lambda_x: np.ndarray  # p x k
-    lambda_y: np.ndarray  # r x k
-    delta_x: np.ndarray   # n x p
-    delta_y: np.ndarray   # n x r
-    l: np.ndarray         # n x p multipliers, X constraint
-    m: np.ndarray         # n x r multipliers, Y constraint
+    lambda_x: np.ndarray  # p x k, rows of [Lx; Ly]
+    lambda_y: np.ndarray  # r x k, rows of [Lx; Ly]
+    delta_x: np.ndarray   # n x p, columns of [Dx Dy]
+    delta_y: np.ndarray   # n x r, columns of [Dx Dy]
+    l: np.ndarray         # n x p multipliers, X constraint, columns of [l m]
+    m: np.ndarray         # n x r multipliers, Y constraint, columns of [l m]
     alpha1: float
     alpha2: float
     iteration: int = 0
@@ -159,14 +160,17 @@ class RplsModel:
         return self.state.q @ self.state.lambda_y.T
 
 
-def update_q(b, a, lambda_x, lambda_y, alpha: float) -> np.ndarray:
-    """Score update: the orthonormal maximizer of ``<alpha b Lx + alpha a Ly, Q>``."""
-    return procrustes_orthonormal(alpha * (b @ lambda_x) + alpha * (a @ lambda_y))
+def update_q(ba, loadings) -> np.ndarray:
+    """Score update: the orthonormal maximizer of ``<alpha [b a] [Lx; Ly], Q>``,
+    which the positive factor alpha does not move, so it is left out."""
+    return procrustes_orthonormal(ba @ loadings)
 
 
-def update_loadings(b, a, q, tau_x: float, tau_y: float):
-    """Loading updates: singular value thresholding of ``b^T Q`` and ``a^T Q``."""
-    return singular_value_threshold(b.T @ q, tau_x), singular_value_threshold(a.T @ q, tau_y)
+def update_loadings(ba, q, p: int, tau_x: float, tau_y: float) -> np.ndarray:
+    """Loading updates: singular value thresholding of ``b^T Q`` and ``a^T Q``,
+    the first p rows and the rest of ``[b a]^T Q``, stacked as ``[Lx; Ly]``."""
+    g = ba.T @ q
+    return np.concatenate((singular_value_threshold(g[:p], tau_x), singular_value_threshold(g[p:], tau_y)))
 
 
 def update_sparse(z, scaled, alpha: float) -> np.ndarray:
@@ -188,16 +192,10 @@ def update_multipliers(lm, residual, alpha: float) -> np.ndarray:
 def primal_residual(rx, ry) -> float:
     """Sum of Frobenius norms of the two constraint residuals.
 
-    Each norm is ``sqrt(r . r)`` over the block flattened in memory order:
-    the expression ``np.linalg.norm`` evaluates, without its wrapper.
+    Each norm is ``sqrt(sum r**2)``, summed in place, so a column block of
+    a wider array is read where it lies rather than copied.
     """
-    rx, ry = rx.ravel("K"), ry.ravel("K")
-    return math.sqrt(np.dot(rx, rx)) + math.sqrt(np.dot(ry, ry))
-
-
-def _blocks(flat, n: int, p: int):
-    """The X and Y blocks of a stacked ``(1, n*p + n*r)`` row, as C-contiguous views."""
-    return flat[0, : n * p].reshape(n, p), flat[0, n * p :].reshape(n, -1)
+    return math.sqrt(np.einsum("ij,ij->", rx, rx)) + math.sqrt(np.einsum("ij,ij->", ry, ry))
 
 
 def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
@@ -231,34 +229,30 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
     cfg = config.resolve(xc, yc)
     n, p = xc.shape
     r = yc.shape[1]
-    # Zero loadings start the solver: the first update_q returns
+    # Zero loadings [Lx; Ly] start the solver: the first update_q returns
     # procrustes_orthonormal(0) = eye(n, k).
-    lambda_x, lambda_y, alpha = np.zeros((p, cfg.k)), np.zeros((r, cfg.k)), cfg.alpha0
-    data = np.concatenate((xc.ravel(), yc.ravel()))[None, :]  # [Xc Yc]; [Dx Dy] and [l m] laid out alike
+    loadings, alpha = np.zeros((p + r, cfg.k)), cfg.alpha0
+    data = np.hstack((xc, yc))  # [Xc Yc]; [Dx Dy] and [l m] laid out alike
     delta, lm = np.zeros_like(data), np.zeros_like(data)
     # Step-local buffers, overwritten every iteration. No state field ever
     # refers to them, so a callback may keep the states and their arrays.
     scaled, ba, z = np.empty_like(data), np.empty_like(data), np.empty_like(data)
-    (b, a), (zx, zy) = _blocks(ba, n, p), _blocks(z, n, p)
 
     trace = []
     converged = False
     for it in range(1, cfg.max_iter + 1):
         np.divide(lm, alpha, out=scaled)
         np.subtract(np.add(scaled, data, out=ba), delta, out=ba)
-        q = update_q(b, a, lambda_x, lambda_y, alpha)
-        tau_x, tau_y = cfg.lambda1 / alpha, cfg.lambda2 / alpha
-        lambda_x, lambda_y = update_loadings(b, a, q, tau_x, tau_y)
-        np.matmul(q, lambda_x.T, out=zx)
-        np.matmul(q, lambda_y.T, out=zy)
-        np.subtract(data, z, out=z)
+        q = update_q(ba, loadings)
+        loadings = update_loadings(ba, q, p, cfg.lambda1 / alpha, cfg.lambda2 / alpha)
+        np.subtract(data, np.matmul(q, loadings.T, out=z), out=z)
         delta = update_sparse(z, scaled, alpha)
         np.subtract(z, delta, out=z)  # z is now the constraint residual
         lm = update_multipliers(lm, z, alpha)
         alpha = min(cfg.rho * alpha, cfg.alpha_max)
-        state = RplsState(q, lambda_x, lambda_y, *_blocks(delta, n, p), *_blocks(lm, n, p),
+        state = RplsState(q, loadings[:p], loadings[p:], delta[:, :p], delta[:, p:], lm[:, :p], lm[:, p:],
                           alpha, alpha, it)
-        residual = primal_residual(zx, zy)
+        residual = primal_residual(z[:, :p], z[:, p:])
         trace.append((it, residual))
         logger.debug("iteration %d: residual=%.6e alpha=%.3e", it, residual, alpha)
         if callback is not None:

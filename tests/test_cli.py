@@ -412,6 +412,28 @@ class TestBench:
         assert len(lines) == 1 + 12 + 1  # header, rows, NMSE line
         assert lines[-1].startswith("NMSE")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_data_whose_norms_overflow(self, tmp_path):
+        # The baselines fit these data, so their scores hold too; the robust
+        # fit's default tol overflows, and it alone fails, saying so.
+        x, y, _ = generate(SynthSpec(seed=1))
+        write_csv(tmp_path / "x.csv", x * 1e160)
+        write_csv(tmp_path / "y.csv", y * 1e160)
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                       "--out-dir", str(out)) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        methods = json.loads((out / "report.json").read_text(), parse_constant=no_constant)["methods"]
+        for tag in ("MLR", "PCR", "PLSR", "PLS_PROJ"):
+            assert methods[tag]["error"] is None and 0 < methods[tag]["nmse"] < 0.1, tag
+        assert "so the default tol is not finite" in methods["RPLS_PROJ"]["error"]
+        for tag in ("pcr", "plsr", "pls_proj"):
+            ellipse = load_csv(DatasetFile(str(out / f"ellipse_{tag}.csv"), has_header=True))
+            assert np.isfinite(ellipse).all() and (ellipse[0, 2:4] > 1e159).all(), tag
+
     def test_report_nmse_consistent_with_prediction_files(self, tmp_path):
         data = tmp_path / "data"
         run_cli("synth", "--n", "50", "--p", "10", "--r", "2", "--k", "3",

@@ -33,9 +33,20 @@ class TestNmse:
         assert nmse(5 * y, 5 * e) == pytest.approx(base, rel=1e-12)
         assert nmse(-2 * y, -2 * e) == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-160, 1e160, 1e300])
+    def test_units_whose_squares_overflow_or_underflow(self, rng, c):
+        # The norms are taken on power-of-two scaled data, so the squares
+        # of these entries neither overflow nor flush to zero.
+        y = rng.standard_normal((30, 4))
+        e = y + 0.1 * rng.standard_normal((30, 4))
+        assert nmse(c * y, c * e) == pytest.approx(nmse(y, e), rel=1e-12)
+
     def test_zero_reference_rejected(self):
         with pytest.raises(MetricError):
             nmse(np.zeros((3, 1)), np.ones((3, 1)))
+        # A reference whose squares underflow to zero is not all-zero.
+        assert nmse(np.full((3, 1), 1e-170), np.zeros((3, 1))) == 1.0
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionError):
@@ -86,6 +97,14 @@ class TestConfidenceEllipse:
         ell0 = confidence_ellipse(scores)
         ell2 = confidence_ellipse(2.0 * scores)
         np.testing.assert_allclose(ell2.semi_axes, 2.0 * ell0.semi_axes, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e160, 1e200])
+    def test_units_whose_covariance_overflows(self, rng, c):
+        scores = rng.standard_normal((200, 2)) @ np.array([[2.0, 0.7], [0.0, 1.0]])
+        ell0, ell = confidence_ellipse(scores), confidence_ellipse(c * scores)
+        np.testing.assert_allclose(ell.semi_axes, c * ell0.semi_axes, rtol=1e-12)
+        assert ell.rotation_angle == pytest.approx(ell0.rotation_angle, rel=1e-12)
 
     def test_axes_ordered(self, rng):
         scores = rng.standard_normal((400, 2)) * np.array([3.0, 0.5])

@@ -12,6 +12,13 @@ the test skips, saying why, when any differs.
 A change that alters the trace on purpose regenerates the file with::
 
     python tests/test_golden_trace.py --write
+
+The file's ``flat_row`` section keeps, as recorded, the traces of the solver
+that held ``[X Y]`` in one flat ``(1, n*p + n*r)`` row and formed its
+products block by block. Regenerating carries it over unchanged. The stacked
+``(n, p+r)`` solver takes one product where that one took two and an add, so
+its bits differ; a second test, which runs under any BLAS and thread count,
+bounds the current traces against the recorded ones.
 """
 
 import ctypes
@@ -123,8 +130,22 @@ def test_residual_trace_bitwise(name):
     assert got["state_sha256"] == want["state_sha256"], "final state differs"
 
 
+# Largest relative distance from the flat-row trace at any iteration; seen:
+# 8.2e-11 under one and two OpenBLAS threads.
+FLAT_ROW_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_residual_trace_near_flat_row(name):
+    want = [float.fromhex(h) for h in _golden()["flat_row"][name]]
+    got = [float.fromhex(h) for h in run(name)["trace"]]
+    assert len(got) == len(want), "iteration count changed"
+    np.testing.assert_allclose(got, want, rtol=FLAT_ROW_RTOL, atol=0)
+
+
 def write() -> None:
-    doc = {"environment": environment(), "problems": {name: run(name) for name in sorted(PROBLEMS)}}
+    doc = {"environment": environment(), "problems": {name: run(name) for name in sorted(PROBLEMS)},
+           "flat_row": _golden()["flat_row"]}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
 

@@ -13,7 +13,10 @@ one-row loading is covered:
   predicts ``X_test``, with the same rank notes, for c up to 1e8;
 - degenerate data: every method fits a constant or a duplicated column,
   ``k = min(n, p)``, ``n < p`` and an all-zero Y with no warning and finite
-  predictions, and predicts exactly zero from an all-zero Y.
+  predictions, and predicts exactly zero from an all-zero Y;
+- gross corruption: every method fits the paper's 150x40x4 and the NIR
+  60x401x1 shapes with 2 % of the training entries moved by up to 1e6
+  column spreads, with no warning and finite held-out predictions.
 
 The data are moved exactly only up to rounding, so the fits agree within
 ``TOL``, not bit for bit: the largest entrywise gap of the scores, and of
@@ -48,6 +51,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustpls import evaluate
+from robustpls.datagen import SPARSE_RANDOM, OutlierSpec, SynthSpec, generate, inject_sparse
 from robustpls.projection import from_rpls
 from robustpls.rpls import RplsConfig, RplsModel, fit
 
@@ -218,3 +222,20 @@ def test_degenerate_data_fit_and_predict(case, data):
         assert y_hat.shape == y.shape and np.isfinite(y_hat).all(), name
         if case == "all-zero y":
             assert not y_hat.any(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(150, 40, 4), (60, 401, 1)]), st.integers(0, 2**32 - 1), st.floats(1.0, 6.0))
+def test_gross_corruption_fit_and_predict(shape, seed, log_magnitude):
+    n, p, r = shape
+    x, y, _ = generate(SynthSpec(n=n, p=p, r=r, seed=seed))
+    train = n * 4 // 5
+    spec = OutlierSpec(kind=SPARSE_RANDOM, magnitude=10.0**log_magnitude, seed=seed)
+    x_train, y_train, _ = inject_sparse(x[:train], y[:train], spec)
+    config = RplsConfig()
+    for name, method in evaluate.METHODS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = method.fit(x_train, y_train, config)
+            y_hat = evaluate.predict_model(model, x[train:])
+        assert y_hat.shape == (n - train, r) and np.isfinite(y_hat).all(), name

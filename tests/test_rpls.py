@@ -80,8 +80,8 @@ def zero_state(n, p, r, k, alpha):
 
 
 def stacked(bx, by):
-    """The flat ``(1, n*p + n*r)`` row fit keeps: the X block row-major, then the Y block."""
-    return np.concatenate((bx.ravel(), by.ravel()))[None, :]
+    """The ``(n, p+r)`` array fit keeps: the X block in the first p columns, then the Y block."""
+    return np.hstack((bx, by))
 
 
 # The block functions take the intermediates fit builds in one pass; these
@@ -98,24 +98,25 @@ def residuals(state, x, y):
 
 
 def q_step(state, x, y):
-    b, a = shifted(state, x, y)
-    return update_q(b, a, state.lambda_x, state.lambda_y, state.alpha1)
+    return update_q(stacked(*shifted(state, x, y)), np.vstack((state.lambda_x, state.lambda_y)))
 
 
 def loadings_step(state, x, y, cfg):
-    b, a = shifted(state, x, y)
-    return update_loadings(b, a, state.q, cfg.lambda1 / state.alpha1, cfg.lambda2 / state.alpha1)
+    p = x.shape[1]
+    loadings = update_loadings(stacked(*shifted(state, x, y)), state.q, p,
+                               cfg.lambda1 / state.alpha1, cfg.lambda2 / state.alpha1)
+    return loadings[:p], loadings[p:]
 
 
 def sparse_step(state, x, y):
     z = stacked(x - state.q @ state.lambda_x.T, y - state.q @ state.lambda_y.T)
     delta = update_sparse(z, stacked(state.l, state.m) / state.alpha1, state.alpha1)
-    return rpls._blocks(delta, *x.shape)
+    return np.hsplit(delta, [x.shape[1]])
 
 
 def multiplier_step(state, x, y):
     lm = update_multipliers(stacked(state.l, state.m), stacked(*residuals(state, x, y)), state.alpha1)
-    return rpls._blocks(lm, *x.shape)
+    return np.hsplit(lm, [x.shape[1]])
 
 
 def residual_of(state, x, y):
@@ -325,16 +326,26 @@ class TestMultipliersAndPenalties:
 
 
 class TestStackedLayout:
-    def test_blocks_are_contiguous_views(self, rng):
-        x, y = rng.standard_normal((6, 4)), rng.standard_normal((6, 2))
-        flat = stacked(x, y)
-        for block, expected in zip(rpls._blocks(flat, 6, 4), (x, y)):
-            assert block.flags.c_contiguous and np.shares_memory(block, flat)
-            np.testing.assert_array_equal(block, expected)
+    def test_state_blocks_are_views_of_stacked_arrays(self, rng):
+        # Each pair of block fields cuts one array fit holds: [Lx; Ly] by
+        # rows, [Dx Dy] and [l m] by columns.
+        n, p, r, k = 15, 8, 3, 3
+        kept = []
+        fit(rng.standard_normal((n, p)), rng.standard_normal((n, r)),
+            RplsConfig(k=k, max_iter=5, tol=1e-300), callback=lambda s, res: kept.append(s))
+        for s in kept:
+            for fx, fy, shapes in (
+                ("lambda_x", "lambda_y", ((p, k), (r, k), (p + r, k))),
+                ("delta_x", "delta_y", ((n, p), (n, r), (n, p + r))),
+                ("l", "m", ((n, p), (n, r), (n, p + r))),
+            ):
+                bx, by = getattr(s, fx), getattr(s, fy)
+                assert bx.base is not None and bx.base is by.base, fx
+                assert (bx.shape, by.shape, bx.base.shape) == shapes, fx
 
-    def test_flat_steps_equal_blockwise(self, rng):
-        # Each elementwise step on the stacked row gives, bit for bit, what
-        # the same call gives on each block alone.
+    def test_stacked_steps_equal_blockwise(self, rng):
+        # Each elementwise step on the stacked array gives, bit for bit,
+        # what the same call gives on each block alone.
         n, p, r, alpha = 9, 5, 3, 1.7
         zx, sx, lx = (rng.standard_normal((n, p)) for _ in range(3))
         zy, sy, ly = (rng.standard_normal((n, r)) for _ in range(3))
@@ -344,9 +355,17 @@ class TestStackedLayout:
             (update_multipliers(stacked(lx, ly), stacked(zx, zy), alpha),
              (update_multipliers(lx, zx, alpha), update_multipliers(ly, zy, alpha))),
         )
-        for flat, blockwise in pairs:
-            for got, expected in zip(rpls._blocks(flat, n, p), blockwise):
+        for whole, blockwise in pairs:
+            for got, expected in zip(np.hsplit(whole, [p]), blockwise):
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e6])
+    def test_update_q_ignores_the_penalty(self, rng, alpha):
+        # update_q leaves out the penalty factor of its objective; a positive
+        # factor does not move the Procrustes maximizer.
+        ba, loadings = rng.standard_normal((12, 10)), rng.standard_normal((10, 4))
+        np.testing.assert_allclose(update_q(ba, loadings),
+                                   linalg.procrustes_orthonormal(alpha * (ba @ loadings)), rtol=0, atol=1e-12)
 
 
 class TestPrimalResidual:
