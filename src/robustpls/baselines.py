@@ -49,7 +49,7 @@ class LinearModel:
     notes: tuple = ()
     offset: np.ndarray = field(init=False, repr=False)  # (r,)
 
-    # Construction rejects arrays that disagree in these axes or are not finite.
+    # Construction stores these as C-ordered float64, then rejects any that disagree in these axes or are not finite.
     AXES = {"theta": "pr", "x_means": "p", "y_means": "r"}
 
     def __post_init__(self):
@@ -239,8 +239,8 @@ def _affine(x_new, matrix, offset) -> np.ndarray:
 
     The model compiled ``offset``, so no centered copy of the batch is made.
     This intercept form rounds at the scale of ``|x_new|``, not ``|x_new -
-    x_means|``. A batch in another layout or type is copied to C float64
-    first, so it gives the bits of that copy.
+    x_means|``. ``_matrix`` gives the batch its layout, so a batch in
+    another layout or type gives the bits of its C float64 copy.
 
     A batch of at most ``BLOCK_BYTES`` is checked and multiplied whole. A
     larger one is multiplied one block of ``BLOCK_BYTES`` worth of rows at a
@@ -255,7 +255,7 @@ def _affine(x_new, matrix, offset) -> np.ndarray:
     checked too. A non-finite product of a finite batch overflowed; it is
     taken again, with the warnings the unchecked product held back.
     """
-    x_new = np.ascontiguousarray(_matrix(x_new, "x_new"))
+    x_new = _matrix(x_new, "x_new")
     if x_new.shape[1] != matrix.shape[0]:
         _finite(x_new, "x_new")  # a non-finite entry is reported first, as by as_matrix
         raise DimensionError(f"x_new has {x_new.shape[1]} columns, model expects {matrix.shape[0]}")

@@ -23,13 +23,15 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and validate it is finite and non-empty."""
+    """Coerce to a C-ordered 2-D float64 array, by ``_matrix``, and validate it is finite and non-empty."""
     return _finite(_matrix(a, name), name)
 
 
 def _matrix(a, name: str) -> np.ndarray:
-    """``a`` as a non-empty 2-D float64 array, its entries not yet checked."""
-    m = np.asarray(a, dtype=np.float64)
+    """``a`` as a non-empty 2-D float64 array in C order, copied unless it already is one, its entries
+    not yet checked. This is the one place a data input gets its type and layout, so no sum runs in an
+    order set by the caller's layout."""
+    m = np.asarray(a, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={m.ndim}")
     # One attribute read, 0.1 us less than indexing the shape twice.
@@ -57,11 +59,13 @@ def _matched_rows(x, y):
 
 
 def _check_arrays(model, axes) -> None:
-    """Each field in ``axes`` has one dimension per letter, shared letters agree, and entries are finite."""
+    """Each field in ``axes``, stored on ``model`` as a C-ordered float64 array as ``_matrix`` makes a data
+    input, has one dimension per letter, shared letters agree, and entries are finite."""
     dims = {}
     for name, letters in axes.items():
-        a = getattr(model, name)
-        shape = np.shape(a)
+        a = np.asarray(getattr(model, name), dtype=np.float64, order="C")
+        object.__setattr__(model, name, a)
+        shape = a.shape
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(letters, shape))
         if len(shape) != len(letters) or shape != expected:
             raise DimensionError(f"field {name!r} has shape {shape}, which does not fit the other fields")

@@ -63,7 +63,7 @@ class ProjectionRegressor:
     w: np.ndarray = field(init=False, repr=False)  # p x k
     offset: np.ndarray = field(init=False, repr=False)  # (k,)
 
-    # Construction rejects arrays that disagree in these axes or are not finite.
+    # Construction stores these as C-ordered float64, then rejects any that disagree in these axes or are not finite.
     AXES = {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"}
 
     def __post_init__(self):
@@ -126,10 +126,10 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
 def from_pls(factors: PlsFactors, x_means, y_means) -> ProjectionRegressor:
     """Build a projection regressor from classical PLS loadings."""
     return ProjectionRegressor(
-        lambda_x=np.array(factors.x_loadings, dtype=np.float64),
-        lambda_y=np.array(factors.y_loadings, dtype=np.float64),
-        x_means=np.asarray(x_means, dtype=np.float64),
-        y_means=np.asarray(y_means, dtype=np.float64),
+        lambda_x=factors.x_loadings,
+        lambda_y=factors.y_loadings,
+        x_means=x_means,
+        y_means=y_means,
         source_tag="PLS",
     )
 

@@ -8,15 +8,16 @@ geometrically growing penalty ``alpha``, so they act as one constraint on
 ``[X Y]`` with one multiplier ``[l m]``. Each iteration runs
 Q -> Lx, Ly -> [Dx Dy] -> [l m] -> alpha and checks the primal residual.
 
-``fit`` keeps each stacked quantity in one C-contiguous ``(n, p+r)``
-array, the X block in the first p columns, and the loadings in one
-``(p+r, k)`` array ``[Lx; Ly]``, so each step that reads both blocks is one
-product or one elementwise pass, into reused buffers: ``[b a] = [l m]/alpha
-+ [X Y] - [Dx Dy]``, ``z = [X Y] - Q [Lx; Ly]^T`` and the residual
-``z - [Dx Dy]``. ``update_q`` and ``update_loadings`` take ``[b a]``,
-``update_sparse`` z and ``[l m]/alpha``, ``update_multipliers`` the
-residual, and ``primal_residual`` (the stopping test) its two column blocks.
-The blocks check nothing; ``fit`` checks its inputs' shapes once.
+``fit`` stacks ``[X Y]`` once and centres it in place, keeping each stacked
+quantity in one C-contiguous ``(n, p+r)`` array, the X block in the first p
+columns, and the loadings in one ``(p+r, k)`` array ``[Lx; Ly]``. So each
+step that reads both blocks is one product or one elementwise pass, into
+reused buffers: ``[b a] = [l m]/alpha + [X Y] - [Dx Dy]``,
+``z = [X Y] - Q [Lx; Ly]^T`` and the residual ``z - [Dx Dy]``. ``update_q``
+and ``update_loadings`` take ``[b a]``, ``update_sparse`` z and
+``[l m]/alpha``, ``update_multipliers`` the residual, and ``primal_residual``
+(the stopping test) its two column blocks. The blocks check nothing; ``fit``
+checks its inputs' shapes once.
 """
 
 from __future__ import annotations
@@ -219,20 +220,14 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
         not an error; the model is returned with ``converged=False``.
     """
     x, y = _matched_rows(x, y)
-    if config.center == "median":
-        x_means, y_means = np.median(x, axis=0), np.median(y, axis=0)
-    else:
-        x_means, y_means = np.zeros(x.shape[1]), np.zeros(y.shape[1])
-    xc = x - x_means
-    yc = y - y_means
-
-    cfg = config.resolve(xc, yc)
-    n, p = xc.shape
-    r = yc.shape[1]
+    (n, p), r = x.shape, y.shape[1]
+    data = np.hstack((x, y))  # [X Y], centred in place; [Dx Dy] and [l m] laid out alike
+    means = np.median(data, axis=0) if config.center == "median" else np.zeros(p + r)
+    data -= means
+    cfg = config.resolve(data[:, :p], data[:, p:])
     # Zero loadings [Lx; Ly] start the solver: the first update_q returns
     # procrustes_orthonormal(0) = eye(n, k).
     loadings, alpha = np.zeros((p + r, cfg.k)), cfg.alpha0
-    data = np.hstack((xc, yc))  # [Xc Yc]; [Dx Dy] and [l m] laid out alike
     delta, lm = np.zeros_like(data), np.zeros_like(data)
     # Step-local buffers, overwritten every iteration. No state field ever
     # refers to them, so a callback may keep the states and their arrays.
@@ -274,6 +269,6 @@ def fit(x, y, config: RplsConfig, callback=None) -> RplsModel:
         config=cfg,
         converged=converged,
         residual_trace=tuple(trace),
-        x_means=x_means,
-        y_means=y_means,
+        x_means=means[:p],
+        y_means=means[p:],
     )

@@ -1,5 +1,6 @@
 import base64
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,3 +44,9 @@ def svd_route_svt(a, tau):
     """Singular value thresholding through LAPACK's thin SVD, for any shape."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
+def rebuilt(model, convert):
+    """``model`` built again from its array fields passed through ``convert``."""
+    return type(model)(**{f.name: convert(getattr(model, f.name)) if f.name in model.AXES else getattr(model, f.name)
+                          for f in fields(model) if f.init})

@@ -7,7 +7,9 @@ bitwise equality, so a change meant to keep the solver's arithmetic (a
 refactor, a speedup) is checked against the exact numbers. Floating-point
 results depend on the numpy build, the BLAS and its thread count (OpenBLAS
 splits a long dot product by thread), so the file also records all three and
-the test skips, saying why, when any differs.
+the test skips, saying why, when any differs. The same record must come
+from Fortran-ordered inputs, since ``fit`` takes its data as C-ordered
+float64.
 
 A change that alters the trace on purpose regenerates the file with::
 
@@ -91,7 +93,8 @@ def environment() -> dict:
     return {"numpy": np.__version__, "blas": blas, "blas_threads": blas_threads()}
 
 
-def run(name: str) -> dict:
+def run(name: str, layout=np.ascontiguousarray) -> dict:
+    """The trace and state digest of one golden problem, fitted from its data passed through ``layout``."""
     n, p, r, kind, seed = PROBLEMS[name]
     x, y, _ = generate(SynthSpec(n=n, p=p, r=r, seed=seed))
     spec = OutlierSpec(kind=kind, seed=seed)
@@ -99,7 +102,7 @@ def run(name: str) -> dict:
         x, y, _ = inject_sparse(x, y, spec)
     else:
         y, _ = inject_low_tail(y, spec)
-    model = fit(x, y, RplsConfig(k=K))
+    model = fit(layout(x), layout(y), RplsConfig(k=K))
     digest = hashlib.sha256()
     for field in STATE_FIELDS:
         digest.update(np.ascontiguousarray(getattr(model.state, field)).tobytes())
@@ -113,8 +116,8 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_residual_trace_bitwise(name):
+def _recorded(name: str) -> dict:
+    """The golden record of ``name``; skips, saying why, unless this environment recorded it."""
     golden = _golden()
     env = environment()
     recorded = golden["environment"]
@@ -122,12 +125,23 @@ def test_residual_trace_bitwise(name):
         differs = ", ".join(key for key in recorded if env.get(key) != recorded[key]) or "blas"
         pytest.skip(f"the environment differs in {differs}: "
                     f"golden traces were recorded with {recorded}, this is {env}")
+    return golden["problems"][name]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_residual_trace_bitwise(name):
+    want = _recorded(name)
     got = run(name)
-    want = golden["problems"][name]
     assert len(got["trace"]) == len(want["trace"]), "iteration count changed"
     for i, (g, w) in enumerate(zip(got["trace"], want["trace"]), start=1):
         assert g == w, f"residual at iteration {i}: {g} != golden {w}"
     assert got["state_sha256"] == want["state_sha256"], "final state differs"
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_residual_trace_bitwise_from_fortran_inputs(name):
+    # Inputs enter as C-ordered float64, so their layout leaves every bit alone.
+    assert run(name, np.asfortranarray) == _recorded(name)
 
 
 # Largest relative distance from the flat-row trace at any iteration; seen:
