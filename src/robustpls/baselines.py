@@ -38,7 +38,9 @@ class LinearModel:
 
     Construction folds both means into ``offset = x_means @ theta - y_means``
     (derived, never serialized, not finite where it overflows float64), and
-    ``predict`` computes ``x @ theta - offset``.
+    ``predict`` computes ``x @ theta - offset``. The model holds read-only
+    copies of the arrays it was built from, and ``offset`` is read-only too,
+    so the offset always matches the fields.
     """
 
     theta: np.ndarray     # p x r
@@ -49,7 +51,7 @@ class LinearModel:
     notes: tuple = ()
     offset: np.ndarray = field(init=False, repr=False)  # (r,)
 
-    # Construction stores these as C-ordered float64, then rejects any that disagree in these axes or are not finite.
+    # Stored as read-only C float64 copies when built; any that disagree in these axes or are not finite are rejected.
     AXES = {"theta": "pr", "x_means": "p", "y_means": "r"}
 
     def __post_init__(self):
@@ -59,6 +61,7 @@ class LinearModel:
         check_fields(self, integers=(("n_components", 0),))
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "offset", np.dot(self.x_means, self.theta) - self.y_means)
+        self.offset.flags.writeable = False
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def cmd_fit(args) -> int:
     model, _ = evaluate.METHODS[args.method].fit(x, y, cfg)
     trace = None
     if isinstance(model, rpls.RplsModel):
-        trace = np.array(model.residual_trace, dtype=np.float64)
+        trace = model.residual_trace
         if not model.converged:
             print(f"warning: not converged within {model.config.max_iter} iterations", file=sys.stderr)
         model = projection.from_rpls(model)

@@ -162,7 +162,8 @@ def write_csv(path, matrix, header=None) -> None:
 
 
 def _float64s(text, key: str) -> np.ndarray:
-    """A base64 string of little-endian float64 bytes as a fresh float64 vector, naming ``key`` otherwise."""
+    """A base64 string of little-endian float64 bytes as a read-only float64 view of the decoded bytes,
+    naming ``key`` otherwise; the model class copies it into a native array of its own."""
     if not isinstance(text, str):
         raise ValueError(f"field {key!r} must be a base64 string of float64 bytes")
     try:
@@ -171,7 +172,7 @@ def _float64s(text, key: str) -> np.ndarray:
         raise ValueError(f"field {key!r} is not valid base64: {exc}") from None
     if len(raw) % 8:
         raise ValueError(f"field {key!r} holds {len(raw)} bytes, not a whole number of float64 values")
-    return np.frombuffer(raw, "<f8").astype(np.float64)
+    return np.frombuffer(raw, "<f8")
 
 
 def _strings(values, key: str) -> tuple:

@@ -59,11 +59,14 @@ def _matched_rows(x, y):
 
 
 def _check_arrays(model, axes) -> None:
-    """Each field in ``axes``, stored on ``model`` as a C-ordered float64 array as ``_matrix`` makes a data
-    input, has one dimension per letter, shared letters agree, and entries are finite."""
+    """Each field in ``axes``, stored on ``model`` as its own read-only C-ordered float64 copy, has one
+    dimension per letter, shared letters agree, and entries are finite. This is the one place a model
+    field is copied: no caller's array is kept, so no later write by the caller moves the model or
+    leaves what it compiled from its fields stale."""
     dims = {}
     for name, letters in axes.items():
-        a = np.asarray(getattr(model, name), dtype=np.float64, order="C")
+        a = np.array(getattr(model, name), dtype=np.float64, order="C")
+        a.flags.writeable = False
         object.__setattr__(model, name, a)
         shape = a.shape
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(letters, shape))

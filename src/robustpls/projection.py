@@ -49,9 +49,11 @@ class ProjectionRegressor:
     predictions are ``y_means``. It also folds the predictor means into the
     score intercept ``offset = x_means @ w`` (k,), which is not finite
     where it overflows float64. ``w`` and ``offset`` are derived and never
-    serialized. The compile also owns the rank notes: it drops any
-    ``ZERO_NOTE`` or ``DEFICIENT_NOTE`` it was given and appends the one
-    that holds for these loadings.
+    serialized. The regressor holds read-only copies of the arrays it was
+    built from, and ``w`` and ``offset`` are read-only too, so the compiled
+    map always matches the fields. The compile also owns the rank notes: it
+    drops any ``ZERO_NOTE`` or ``DEFICIENT_NOTE`` it was given and appends
+    the one that holds for these loadings.
     """
 
     lambda_x: np.ndarray  # p x k
@@ -63,7 +65,7 @@ class ProjectionRegressor:
     w: np.ndarray = field(init=False, repr=False)  # p x k
     offset: np.ndarray = field(init=False, repr=False)  # (k,)
 
-    # Construction stores these as C-ordered float64, then rejects any that disagree in these axes or are not finite.
+    # Stored as read-only C float64 copies when built; any that disagree in these axes or are not finite are rejected.
     AXES = {"lambda_x": "pk", "lambda_y": "rk", "x_means": "p", "y_means": "r"}
 
     def __post_init__(self):
@@ -86,6 +88,7 @@ class ProjectionRegressor:
         object.__setattr__(self, "w", np.ldexp((u[:, keep] / s[keep]) @ vt[keep], -e))
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "offset", np.dot(self.x_means, self.w))
+        self.w.flags.writeable = self.offset.flags.writeable = False
         object.__setattr__(self, "notes", notes)
 
 
@@ -99,9 +102,12 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
     trustworthy, while the response loading may be large (this is the
     signature of a direction captured by response corruption rather than
     shared structure).
+
+    The regressor copies what it keeps, so it shares no memory with
+    ``model`` and no later change to ``model`` moves it.
     """
-    lambda_x = np.array(model.state.lambda_x, dtype=np.float64)
-    lambda_y = np.array(model.state.lambda_y, dtype=np.float64)
+    lambda_x = model.state.lambda_x
+    lambda_y = model.state.lambda_y
     notes = ()
     if lambda_x.any():
         u, s, vt = svd(lambda_x, canonical_signs=False)  # the norms and products below cancel matched flips
@@ -116,8 +122,8 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
     return ProjectionRegressor(
         lambda_x=lambda_x,
         lambda_y=lambda_y,
-        x_means=np.array(model.x_means, dtype=np.float64),
-        y_means=np.array(model.y_means, dtype=np.float64),
+        x_means=model.x_means,
+        y_means=model.y_means,
         source_tag="RPLS",
         notes=notes,
     )

@@ -50,3 +50,15 @@ def rebuilt(model, convert):
     """``model`` built again from its array fields passed through ``convert``."""
     return type(model)(**{f.name: convert(getattr(model, f.name)) if f.name in model.AXES else getattr(model, f.name)
                           for f in fields(model) if f.init})
+
+
+def assert_owns_read_only_arrays(model):
+    """Every array ``model`` holds, each ``AXES`` field and the compiled ``offset`` (and ``w``, where the
+    model has one), owns its data, is not writeable, and refuses a write with ``ValueError``."""
+    for name in (*model.AXES, "offset", "w"):
+        if not hasattr(model, name):
+            continue  # a LinearModel compiles no w
+        a = getattr(model, name)
+        assert a.flags.owndata and not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import b64_f8, rebuilt
+from conftest import assert_owns_read_only_arrays, b64_f8, rebuilt
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -315,8 +315,6 @@ class TestModelJson:
         # The solver-state kind that earlier releases wrote is no longer read.
         with pytest.raises(ParseError, match="unknown model kind 'rpls'"):
             model_from_dict({"format": "robustpls-model", "version": 2, "kind": "rpls"})
-        # A document without a version loads as the current one.
-        assert model_from_dict({k: v for k, v in linear_doc().items() if k != "version"}).method_tag == "MLR"
 
     @pytest.mark.parametrize("doc, match", [
         ({"format": "robustpls-model", "kind": "linear"}, "'theta'"),
@@ -356,6 +354,13 @@ class TestModelJson:
         assert model.theta.shape == (3, 1) and model.y_means.shape == (1,)
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(column_doc(), load_model_schema())
+
+    def test_versionless_document_is_valid(self):
+        # A document without a version reads as the current one, and the schema agrees.
+        doc = {k: v for k, v in linear_doc().items() if k != "version"}
+        assert model_from_dict(doc).method_tag == "MLR"
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, load_model_schema())
 
     @pytest.mark.parametrize("field, value", [
         ("x_means", b64_f8([0.0, 0.0])),
@@ -500,12 +505,13 @@ class TestModelFormat:
         with pytest.raises(ParseError, match=f"'lambda_y' {match}"):
             model_from_dict(projection_doc(lambda_y={"rows": 1, "cols": 2, "data": data}))
 
-    def test_loaded_arrays_are_writable_native_copies(self):
-        # np.frombuffer alone would give a read-only view of the decoded bytes.
+    def test_loaded_arrays_are_read_only_native_copies(self):
+        # np.frombuffer alone would give a view of the decoded bytes, which owns no data.
         model = model_from_dict(projection_doc())
         for name in ProjectionRegressor.AXES:
             a = getattr(model, name)
-            assert a.dtype == np.float64 and a.dtype.isnative and a.flags.writeable and a.flags.c_contiguous, name
+            assert a.dtype == np.float64 and a.dtype.isnative and a.flags.c_contiguous, name
+            assert a.flags.owndata and not a.flags.writeable, name
 
 
 # Values at the edges of float64: signed zero, subnormals and the largest finite magnitudes.
@@ -544,14 +550,52 @@ def test_model_round_trip_is_exact(tmp_path, model):
         assert a.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     save_model(path, model)
     assert path.read_bytes() == text  # the same model writes the same bytes
+    assert_owns_read_only_arrays(loaded)
     row = np.linspace(-1.0, 1.0, len(model.x_means))[None, :]
     for convert in (lambda a: a.astype(">f8"), np.asfortranarray, lambda a: np.asfortranarray(a.astype(">f8")),
                     lambda a: a.tolist()):
         again = rebuilt(model, convert)
+        assert_owns_read_only_arrays(again)
         save_model(path, again)
         assert path.read_bytes() == text
         # Built from another layout or from lists, a model predicts like its loaded copy.
         assert _predict(again, row).tobytes() == _predict(loaded, row).tobytes()
+
+
+def _reloaded(tmp_path, model):
+    """``model`` saved and loaded again."""
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    return load_model(path)
+
+
+def test_caller_edits_move_no_linear_model(tmp_path):
+    # The model keeps copies: writing into the caller's arrays afterwards
+    # changes neither its fields nor its compiled offset, so it and its
+    # reloaded copy still predict (4 - 1) * 2 + (5 - 1) * 3 + 0.5.
+    theta, x_means, y_means = np.array([[2.0], [3.0]]), np.array([1.0, 1.0]), np.array([0.5])
+    model = LinearModel(theta=theta, x_means=x_means, y_means=y_means, method_tag="MLR")
+    row = [[4.0, 5.0]]
+    assert predict(model, row).tolist() == [[18.5]]
+    x_means[:] = 5.0
+    theta[0, 0] = 7.0
+    assert model.x_means.tolist() == [1.0, 1.0] and model.theta.tolist() == [[2.0], [3.0]]
+    assert predict(model, row).tolist() == [[18.5]]
+    assert predict(_reloaded(tmp_path, model), row).tolist() == [[18.5]]
+
+
+def test_caller_edits_move_no_projection_regressor(tmp_path):
+    lambda_x, lambda_y = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]]), np.array([[0.5, -1.0]])
+    x_means, y_means = np.array([0.0, 1.0, -2.0]), np.array([4.0])
+    model = ProjectionRegressor(lambda_x=lambda_x, lambda_y=lambda_y, x_means=x_means, y_means=y_means,
+                                source_tag="RPLS")
+    row = [[1.0, 2.0, 3.0]]
+    before = predict_projection(model, row)
+    for a in (lambda_x, lambda_y, x_means, y_means):
+        a[...] = 5.0
+    assert model.lambda_x.tolist() == [[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]] and model.y_means.tolist() == [4.0]
+    assert predict_projection(model, row).tobytes() == before.tobytes()
+    assert predict_projection(_reloaded(tmp_path, model), row).tobytes() == before.tobytes()
 
 
 def _predict(model, x):

@@ -1,15 +1,16 @@
 """No result depends on memory layout or byte order, only on the values.
 
 Every public entry takes its data through ``linalg._matrix``, which gives
-them one layout, C-ordered float64, and a model stores its fields the same
-way. So Fortran-ordered, transposed, big-endian and column-view inputs
-must give the bits that their C copies give: sums and products over a
-column otherwise run in another order and round differently.
+them one layout, C-ordered float64, and a model stores read-only copies of
+its fields in the same layout. So Fortran-ordered, transposed, big-endian
+and column-view inputs must give the bits that their C copies give: sums
+and products over a column otherwise run in another order and round
+differently.
 """
 
 import numpy as np
 import pytest
-from conftest import rebuilt
+from conftest import assert_owns_read_only_arrays, rebuilt
 
 from robustpls.datagen import (
     LOW_TAIL,
@@ -131,15 +132,18 @@ def test_metrics_and_injectors_ignore_layout(layout):
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_model_fields_ignore_layout(tmp_path, method, convert):
     # A model built from its fields in another layout, or as nested lists,
-    # predicts bit for bit like the copy that loading it builds.
+    # predicts bit for bit like the copy that loading it builds. The fitted
+    # model, the rebuilt one and the loaded one each own read-only arrays.
     x, y, x_test, _ = dataset("paper-sparse", 1)
-    model, _ = METHODS[method].fit(x, y, RplsConfig())
-    if isinstance(model, RplsModel):
-        model = from_rpls(model)
-    model = rebuilt(model, convert)
+    fitted, _ = METHODS[method].fit(x, y, RplsConfig())
+    if isinstance(fitted, RplsModel):
+        fitted = from_rpls(fitted)
+    model = rebuilt(fitted, convert)
     path = tmp_path / "model.json"
     save_model(path, model)
     loaded = load_model(path)
+    for m in (fitted, model, loaded):
+        assert_owns_read_only_arrays(m)
     for name in model.AXES:
         a = getattr(model, name)
         assert a.dtype == np.float64 and a.flags.c_contiguous, name

@@ -227,6 +227,16 @@ class TestFromPls:
         assert preds.shape == (30, 2)
         assert np.isfinite(preds).all()
 
+    def test_shares_no_memory(self, rng):
+        # The regressor copies the PLS factors' loadings and the PLSR model's means.
+        x = rng.standard_normal((30, 8))
+        y = rng.standard_normal((30, 2))
+        factors, linear = fit_pls_nipals(x, y, k=3)
+        reg = from_pls(factors, linear.x_means, linear.y_means)
+        theirs = [*vars(factors).values(), linear.theta, linear.x_means, linear.y_means, linear.offset]
+        for name in (*reg.AXES, "w", "offset"):
+            assert not any(np.shares_memory(getattr(reg, name), a) for a in theirs), name
+
 
 def pls_regressor(rng, x_loadings, r=3):
     """A regressor over the given predictor loadings, built the way from_pls builds one."""
