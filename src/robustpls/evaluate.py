@@ -138,10 +138,10 @@ def _fit_mlr(x, y, config):
 
 
 def _fit_pcr(x, y, config):
-    k = config.k
-    model = baselines.fit_pcr(x, y, k)
+    model = baselines.fit_pcr(x, y, config.k)
     u, s, _ = svd(x - model.x_means)
-    return model, u[:, :k] * s[:k]
+    n = model.n_components  # the kept directions lead, since s is sorted
+    return model, u[:, :n] * s[:n]
 
 
 def _fit_plsr(x, y, config):

@@ -95,30 +95,29 @@ class ProjectionRegressor:
 def from_rpls(model: RplsModel) -> ProjectionRegressor:
     """Build a projection regressor from a fitted robust decomposition.
 
-    Latent directions along which the fitted sparse-error block has more
-    leverage than ``STABILITY_THRESHOLD`` times the direction's loading
-    gain are removed from both loadings before prediction: the predictors
-    carry too little signal there for the projected score to be
-    trustworthy, while the response loading may be large (this is the
-    signature of a direction captured by response corruption rather than
-    shared structure).
+    A direction of ``lambda_x`` with gain above ``RANK_RCOND`` times the
+    largest is unstable when the fitted sparse-error block has more
+    leverage along it than ``STABILITY_THRESHOLD`` times that gain: the
+    predictors carry too little signal there to trust the projected score
+    (the signature of a direction captured by response corruption). If any
+    is unstable, only the m kept directions are stored, noted "removed N
+    unstable latent direction(s)", in the principal basis of ``lambda_x``
+    with canonical signs: ``u * s`` (p x m) and ``lambda_y @ vt.T`` (r x m).
+    Otherwise the solver's loadings are kept as they are.
 
     The regressor copies what it keeps, so it shares no memory with
     ``model`` and no later change to ``model`` moves it.
     """
-    lambda_x = model.state.lambda_x
-    lambda_y = model.state.lambda_y
+    lambda_x, lambda_y = model.state.lambda_x, model.state.lambda_y
+    u, s, vt = svd(lambda_x)
+    leverage = np.linalg.norm(model.state.delta_x @ u, axis=0)
+    unstable = (s > RANK_RCOND * s.max(initial=0.0)) & (leverage > STABILITY_THRESHOLD * s)
     notes = ()
-    if lambda_x.any():
-        u, s, vt = svd(lambda_x, canonical_signs=False)  # the norms and products below cancel matched flips
-        leverage = np.linalg.norm(model.state.delta_x @ u, axis=0)
-        unstable = leverage > STABILITY_THRESHOLD * s
-        if unstable.any():
-            keep = ~unstable
-            v = vt.T[:, keep]
-            lambda_x = (u[:, keep] * s[keep]) @ v.T
-            lambda_y = lambda_y @ v @ v.T
-            notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",)
+    if unstable.any():
+        keep = ~unstable
+        lambda_x = u[:, keep] * s[keep]
+        lambda_y = lambda_y @ vt[keep].T
+        notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",)
     return ProjectionRegressor(
         lambda_x=lambda_x,
         lambda_y=lambda_y,

@@ -1,11 +1,28 @@
 import base64
+import importlib.util
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustpls.baselines import BLOCK_BYTES
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded read-only.
+
+    It is registered in ``sys.modules`` while it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

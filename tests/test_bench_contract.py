@@ -8,24 +8,14 @@ fails instead. Both files are loaded read-only.
 """
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import load_perfbench
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-layers = _load("layers")
-tracer = _load("tracer")
+layers = load_perfbench("layers")
+tracer = load_perfbench("tracer")
 
 TIMED = sorted({
     name

@@ -486,6 +486,7 @@ class TestBench:
 
     def test_no_ellipse_is_a_warning(self, tmp_path, capsys):
         # A 40% split of 5 rows leaves 2 training rows: too few score rows for an ellipse.
+        # PCR keeps one direction of the rank-1 centered rows, so it publishes no 2-D scores.
         data = tmp_path / "data"
         assert run_cli("synth", "--n", "5", "--p", "6", "--r", "1", "--k", "2",
                        "--n-collinear", "1", "--seed", "3", "--out-dir", str(data)) == 0
@@ -494,9 +495,10 @@ class TestBench:
         assert run_cli("bench", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
                        "--split", "0.4", "--k", "2", "--out-dir", str(out)) == 0
         err = capsys.readouterr().err.splitlines()
-        assert "warning: no ellipse for pcr: need at least 3 score rows, got 2" in err
-        assert (out / "scores_pcr.csv").exists()
-        assert not (out / "ellipse_pcr.csv").exists()
+        assert "warning: no ellipse for rpls_proj: need at least 3 score rows, got 2" in err
+        assert (out / "scores_rpls_proj.csv").exists()
+        assert not (out / "ellipse_rpls_proj.csv").exists()
+        assert not (out / "scores_pcr.csv").exists()
 
     def test_failed_method_leaves_blank_cells(self, tmp_path, capsys):
         # k = 7 exceeds a 6-column x for every latent method; MLR takes no k and still runs.

@@ -197,6 +197,14 @@ class TestRunExperiment:
         assert METHODS["pcr"].fit(x_train, y_train, config)[0].n_components == 3
         assert METHODS["plsr"].fit(x_train, y_train, config)[0].n_components == 3
 
+    def test_pcr_scores_hold_the_kept_directions(self):
+        # x has rank 3 after centering, so PCR at k = 5 drops two numerically
+        # zero directions and publishes only the scores it fits with.
+        x, y, _ = generate(SynthSpec(n=60, p=12, r=2, k_true=3, n_collinear=2, seed=5))
+        model, scores = METHODS["pcr"].fit(x, y, RplsConfig(k=5))
+        assert model.n_components == 3
+        assert scores.shape == (60, 3)
+
     def test_method_error_isolated(self):
         x, y, _ = generate(SynthSpec(n=30, p=10, n_collinear=2, seed=26))
         perm = rng_from_seed(9).permutation(30)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import robustpls as rp
 from robustpls.baselines import BLOCK_BYTES, RANK_RCOND, LinearModel, PlsFactors, fit_pls_nipals, predict
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail, rng_from_seed
 from robustpls.errors import DimensionError, InvalidInputError
@@ -26,7 +27,7 @@ from robustpls.projection import (
 )
 from robustpls.rpls import RplsConfig, fit
 
-from conftest import dot_by_blocks, random_orthonormal
+from conftest import dot_by_blocks, load_perfbench, random_orthonormal
 
 
 def make_regressor(rng, p=7, r=3, k=4):
@@ -46,6 +47,14 @@ def regressor_over(lambda_x, r=2):
                                y_means=np.zeros(r), source_tag="RPLS")
 
 
+def screen(model):
+    """``(u, s, vt, keep)``: canonical factors of the fitted ``lambda_x`` and
+    the directions the screen keeps, judged as ``from_rpls`` judges them."""
+    u, s, vt = svd(model.state.lambda_x)
+    leverage = np.linalg.norm(model.state.delta_x @ u, axis=0)
+    return u, s, vt, ~((s > RANK_RCOND * s.max()) & (leverage > STABILITY_THRESHOLD * s))
+
+
 def hijacked_datasets():
     """``(x, y, train, test, corrupted y[train])`` on which the screen fires."""
     x, y, _ = generate(SynthSpec(seed=1007))
@@ -61,6 +70,18 @@ def hijacked_datasets():
     perm = rng_from_seed(s).permutation(60)
     train, test = np.sort(perm[:48]), np.sort(perm[48:])
     yield x, y, train, test, inject_low_tail(y[train], OutlierSpec(kind=LOW_TAIL, seed=s))[0]
+
+
+def screened_fits():
+    """``(x_test, model)`` for fits on which the screen fires: both hijacked
+    datasets at k = 5, and the first 3 paper-sparse benchmark datasets of
+    seed 1 at k = 8, one more direction than the data carry."""
+    for x, y, train, test, y_bad in hijacked_datasets():
+        yield x[test], fit(x[train], y_bad, RplsConfig(k=5))
+    workloads = load_perfbench("workloads")
+    for seed in workloads.dataset_seeds(1, 16)[:3]:
+        d = workloads.make_dataset(rp, workloads.WORKLOADS["paper-sparse"], seed)
+        yield d.x_test, fit(d.x_train, d.y_train, RplsConfig(k=8))
 
 
 class TestProject:
@@ -189,22 +210,63 @@ class TestFromRpls:
             assert err_screened / scale < 1.0 < err_raw / scale
 
     def test_screen_gives_the_bits_of_canonical_factors(self):
-        # The screen takes LAPACK's signs: a matched sign flip of a u and vt
-        # column leaves the leverage norms and both rebuilt loadings the
-        # same bit for bit.
+        # A screened regressor holds the kept directions in the principal
+        # basis of lambda_x, with canonical signs, bit for bit.
         for x, y, train, test, y_bad in hijacked_datasets():
             model = fit(x[train], y_bad, RplsConfig(k=5))
-            u, s, vt = svd(model.state.lambda_x)
-            keep = np.linalg.norm(model.state.delta_x @ u, axis=0) <= STABILITY_THRESHOLD * s
+            u, s, vt, keep = screen(model)
             assert not keep.all()
-            v = vt.T[:, keep]
             screened = from_rpls(model)
             rebuilt = ProjectionRegressor(
-                lambda_x=(u[:, keep] * s[keep]) @ v.T, lambda_y=model.state.lambda_y @ v @ v.T,
+                lambda_x=u[:, keep] * s[keep], lambda_y=model.state.lambda_y @ vt[keep].T,
                 x_means=model.x_means, y_means=model.y_means, source_tag="RPLS", notes=screened.notes,
             )
             for name in ("lambda_x", "lambda_y", "w", "offset"):
                 np.testing.assert_array_equal(getattr(screened, name), getattr(rebuilt, name), err_msg=name)
+
+    def test_screened_fit_keeps_only_its_directions(self, tmp_path):
+        # Each screened fit stores k - removed columns, carries the screen's
+        # note alone, saves a smaller document than the p x k rank-m product
+        # through the kept factors, and predicts as that product does.
+        for x_test, model in screened_fits():
+            u, s, vt, keep = screen(model)
+            removed = int((~keep).sum())
+            assert 0 < removed < keep.size
+            reg = from_rpls(model)
+            assert reg.lambda_x.shape[1] == reg.lambda_y.shape[1] == keep.size - removed
+            assert reg.notes == (f"removed {removed} unstable latent direction(s)",)
+            oracle = replace(reg, lambda_x=(u[:, keep] * s[keep]) @ vt[keep],
+                             lambda_y=model.state.lambda_y @ vt[keep].T @ vt[keep])
+            assert oracle.notes[-1] == DEFICIENT_NOTE
+            save_model(tmp_path / "kept.json", reg)
+            save_model(tmp_path / "product.json", oracle)
+            assert (tmp_path / "kept.json").stat().st_size < (tmp_path / "product.json").stat().st_size
+            want = predict_projection(oracle, x_test)
+            assert np.linalg.norm(predict_projection(reg, x_test) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_loadings_get_only_the_compile_note(self):
+        # No direction has gain, so the screen judges none, whatever the sparse block holds.
+        x, y, _ = generate(SynthSpec(seed=3))
+        model = fit(x, y, RplsConfig(k=5))
+        zero = replace(model, state=replace(model.state, lambda_x=np.zeros_like(model.state.lambda_x)))
+        assert zero.state.delta_x.any()
+        reg = from_rpls(zero)
+        assert reg.notes == (ZERO_NOTE,)
+        np.testing.assert_array_equal(reg.lambda_y, model.state.lambda_y)
+
+    def test_gainless_direction_is_deficient_not_unstable(self, rng):
+        # Gains 10, 5 and 0; the sparse block has leverage 100 along the
+        # second direction and along every direction orthogonal to the first
+        # two, the gainless one included. Only the second is unstable.
+        n, p = 10, 6
+        model = fit(rng.standard_normal((n, p)), rng.standard_normal((n, 2)), RplsConfig(k=3))
+        lambda_x = np.zeros((p, 3))
+        lambda_x[0, 0], lambda_x[1, 1] = 10.0, 5.0
+        delta_x = np.zeros((n, p))
+        delta_x[np.arange(p - 1), np.arange(1, p)] = 100.0
+        reg = from_rpls(replace(model, state=replace(model.state, lambda_x=lambda_x, delta_x=delta_x)))
+        assert reg.notes == ("removed 1 unstable latent direction(s)", DEFICIENT_NOTE)
+        assert reg.lambda_x.shape == (p, 2)
 
     def test_screen_inert_on_clean_fit(self):
         x, y, _ = generate(SynthSpec(seed=3))
