@@ -32,7 +32,7 @@ RANK_RCOND = 1e-12
 BLOCK_BYTES = 512 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linear predictor ``y_hat = (x - x_means) @ theta + y_means``.
 
@@ -64,7 +64,7 @@ class LinearModel:
         self.offset.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlsFactors:
     """Latent factors extracted by the iterative PLS fit.
 

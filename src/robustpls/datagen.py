@@ -98,7 +98,7 @@ class OutlierSpec:
             raise ConfigError("tail_multiplier must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthTruth:
     """Ground truth behind one generated dataset."""
 
@@ -107,7 +107,7 @@ class SynthTruth:
     theta_true: np.ndarray  # p x r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorruptionMask:
     """Boolean masks of the entries selected for corruption."""
 

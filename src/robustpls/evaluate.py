@@ -56,7 +56,7 @@ def chi2_quantile_2dof(coverage: float) -> float:
     return -2.0 * math.log1p(-coverage)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceEllipse:
     """Coverage ellipse of 2-D scores: center, semi-axes (major first), tilt."""
 
@@ -94,7 +94,7 @@ def confidence_ellipse(scores_2d, coverage: float = 0.95) -> ConfidenceEllipse:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class MethodResult:
     """Outcome of one method inside an experiment."""
 
@@ -104,7 +104,7 @@ class MethodResult:
     error: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentReport:
     """Per-method predictions and errors for one train/test split."""
 

@@ -38,7 +38,7 @@ ZERO_NOTE = "predictor loadings are zero: predictions fall back to the response 
 DEFICIENT_NOTE = "predictor loadings rank deficient: pseudoinverse projection"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionRegressor:
     """Loadings and offsets needed to predict responses by projection.
 

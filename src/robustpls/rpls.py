@@ -122,7 +122,7 @@ class RplsConfig:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class RplsState:
     """All block variables of one solver iteration; ``alpha1 == alpha2``, the one penalty.
 
@@ -141,7 +141,7 @@ class RplsState:
     iteration: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RplsModel:
     """Fitted decomposition plus the configuration and convergence trace."""
 

@@ -1,6 +1,7 @@
 """CSV parsing, float formatting, and model JSON round-trip tests."""
 
 import base64
+import copy
 import csv
 import json
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from robustpls import io as io_mod
 from robustpls.baselines import LinearModel, fit_mlr, fit_pls_nipals, predict
-from robustpls.datagen import SynthSpec, generate
+from robustpls.datagen import SPARSE_RANDOM, OutlierSpec, SynthSpec, generate, inject_sparse
 from robustpls.errors import ParseError
+from robustpls.evaluate import confidence_ellipse, run_experiment
 from robustpls.io import (
     DatasetFile,
     _parse_cells,
@@ -596,6 +598,54 @@ def test_caller_edits_move_no_projection_regressor(tmp_path):
     assert model.lambda_x.tolist() == [[1.0, 0.0], [0.0, 2.0], [0.5, 0.0]] and model.y_means.tolist() == [4.0]
     assert predict_projection(model, row).tobytes() == before.tobytes()
     assert predict_projection(_reloaded(tmp_path, model), row).tobytes() == before.tobytes()
+
+
+def _library_instances():
+    """One instance of each type that holds arrays, keyed by type name, each as the library makes it."""
+    x, y, truth = generate(SynthSpec(n=20, p=8, r=2, k_true=3, n_collinear=2, seed=1))
+    _, _, mask = inject_sparse(x, y, OutlierSpec(kind=SPARSE_RANDOM, seed=1))
+    model = fit(x, y, RplsConfig(k=3))
+    factors, linear = fit_pls_nipals(x, y, 3)
+    report = run_experiment(x, y, (range(16), range(16, 20)), ["MLR"])
+    found = [model.state, model, linear, factors, from_rpls(model), truth, mask,
+             confidence_ellipse(factors.scores[:, :2]), report.results["MLR"], report]
+    return {type(a).__name__: a for a in found}
+
+
+ARRAY_HOLDERS = ("RplsState", "RplsModel", "LinearModel", "PlsFactors", "ProjectionRegressor", "SynthTruth",
+                 "CorruptionMask", "ConfidenceEllipse", "MethodResult", "ExperimentReport")
+
+
+@pytest.fixture(scope="module")
+def twin_instances():
+    """Two independent builds of ``_library_instances``: equal fields, distinct objects and arrays."""
+    return _library_instances(), _library_instances()
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(twin_instances, name):
+    # Field equality would compare arrays, whose truth value is ambiguous, and
+    # a field hash would hash arrays, which are unhashable; these types keep
+    # object identity instead, so comparing two fits answers and never raises.
+    a, fresh = twin_instances[0][name], twin_instances[1][name]
+    shallow = copy.copy(a)
+    assert a == a and not a != a
+    assert a != fresh and not a == fresh
+    assert hash(a) == hash(a) == object.__hash__(a)
+    assert a != shallow and not a == shallow
+    assert a in {a} and shallow not in {a}
+    assert [shallow, a].index(a) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RplsConfig(k=3, tol=1e-6),
+    lambda: SynthSpec(n=60, p=401, r=1, seed=3),
+    lambda: OutlierSpec(kind=SPARSE_RANDOM, fraction=0.1, seed=2),
+    lambda: DatasetFile("x.csv", has_header=True),
+], ids=["RplsConfig", "SynthSpec", "OutlierSpec", "DatasetFile"])
+def test_value_types_compare_and_hash_by_value(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and b in {a}
 
 
 def _predict(model, x):

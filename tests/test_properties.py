@@ -32,6 +32,8 @@ fit can take another path. In the same 6,000 draws the loadings lost rank
 in 48, and 6 of those broke the property (gaps up to order one, or
 iteration counts apart). Each test therefore assumes the unmoved fit kept
 rank ``k`` at every iteration; RPLS keeps that assumption through predict.
+One draw that breaks it is kept as a strict xfail, to pass once the start
+no longer picks the path (ROADMAP item 4).
 
 Far from the origin the data and their means round at the scale of
 ``c·spread``, so predictions move by a multiple of ``c·eps``. In units of
@@ -52,7 +54,7 @@ from hypothesis import strategies as st
 
 from robustpls import evaluate
 from robustpls.datagen import SPARSE_RANDOM, OutlierSpec, SynthSpec, generate, inject_sparse
-from robustpls.projection import from_rpls
+from robustpls.projection import from_rpls, predict_projection
 from robustpls.rpls import RplsConfig, RplsModel, fit
 
 TOL = 1e-9
@@ -60,18 +62,23 @@ PREDICT_TOL = 200.0
 EPS = np.finfo(np.float64).eps
 
 
-@st.composite
-def problems(draw):
-    """``(x, y, k)``: a two-direction signal plus noise, with about 5 % of the entries shifted by 10."""
-    n, p, r = draw(st.integers(9, 16)), draw(st.integers(2, 8)), draw(st.integers(1, 3))
-    k = draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def signal_problem(rng, n, p, r):
+    """``(x, y)``: a two-direction signal plus noise, with about 5 % of the entries shifted by 10."""
     scores = rng.standard_normal((n, 2)) * [4.0, 2.0]
     x = scores @ rng.standard_normal((2, p)) + 0.1 * rng.standard_normal((n, p))
     y = scores @ rng.standard_normal((2, r)) + 0.1 * rng.standard_normal((n, r))
     for m in (x, y):
         m += 10.0 * (rng.random(m.shape) < 0.05) * rng.choice([-1.0, 1.0], m.shape)
-    return x, y, k
+    return x, y
+
+
+@st.composite
+def problems(draw):
+    """``(x, y, k)``: ``signal_problem`` of a drawn shape and seed, with k of 1 or 2."""
+    n, p, r = draw(st.integers(9, 16)), draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (*signal_problem(rng, n, p, r), k)
 
 
 def gaps(base, moved, scale, x_fields=lambda a: a, x_means=None, y_means=None):
@@ -140,6 +147,24 @@ def test_column_permutation_permutes_the_x_fields(problem, order):
     assert found.pop("iterations") == 0
     assert found.pop("x_means") == 0.0  # each column's median moves with it, bit for bit
     assert max(found.values()) <= TOL, found
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the identity start Q = eye(n, k) zeroes a loading direction at the first update, so reversing X's "
+    "columns or shifting X picks another path (66 iterations against 60); ROADMAP item 4's start race "
+    "must flip this"))
+def test_identity_start_keeps_predictions_equivariant():
+    # One draw the rank assumption above excludes: the first update leaves
+    # the stacked loadings of each fit with rank one. All three fits report
+    # convergence; the reversed and shifted ones miss X's predictions by
+    # about 8.6 times the largest of them, under one BLAS thread or two.
+    x, y = signal_problem(np.random.default_rng(1884), n=13, p=3, r=1)
+    config = RplsConfig(k=2)
+    want = predict_projection(from_rpls(fit(x, y, config)), x)
+    for moved, x_moved in (("reversed", x[:, ::-1]), ("shifted", x + 1e3)):
+        got = predict_projection(from_rpls(fit(x_moved, y, config)), x_moved)
+        gap = np.abs(got - want).max() / np.abs(want).max()
+        assert gap <= 1e-6, (moved, gap)
 
 
 def rank_notes(model):
