@@ -34,29 +34,6 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
 
 
-def _add_hyper_flags(p):
-    p.add_argument("--k", type=int, default=None, help=f"latent dimension (default {rpls.RplsConfig.k})")
-    p.add_argument("--lambda1", type=float, default=None, help="nuclear-norm weight, X side")
-    p.add_argument("--lambda2", type=float, default=None, help="nuclear-norm weight, Y side")
-    p.add_argument("--rho", type=float, default=None, help="penalty growth factor")
-    p.add_argument("--alpha0", type=float, default=None, help="initial penalty for both constraints")
-    p.add_argument("--alpha-max", type=float, default=None, dest="alpha_max", help="penalty cap")
-    p.add_argument("--tol", type=float, default=None, help="convergence threshold")
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    p.add_argument("--center", choices=rpls.CENTER_MODES, default=None,
-                   help=f"column centering for the robust solver (default {rpls.RplsConfig.center})")
-    p.add_argument("--config", default=None, help="JSON file with hyperparameter defaults")
-
-
-def _add_outlier_flags(p):
-    spec = datagen.OutlierSpec
-    p.add_argument("--outliers", choices=["none", "sparse", "lowtail"], default="none")
-    p.add_argument("--outlier-fraction", type=float, default=spec.fraction)
-    p.add_argument("--outlier-magnitude", type=float, default=spec.magnitude)
-    p.add_argument("--tail-fraction", type=float, default=spec.tail_fraction)
-    p.add_argument("--tail-multiplier", type=float, default=spec.tail_multiplier)
-
-
 def _rpls_config(args) -> rpls.RplsConfig:
     """RplsConfig's defaults < --config file < explicit flags."""
     h = {}
@@ -243,8 +220,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Outlier-robust PLS and classical baselines: data synthesis, fitting, prediction, benchmarking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that subcommands share, with the same meaning, is declared once, in a parent parser they take.
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", required=True)
+    x_data = argparse.ArgumentParser(add_help=False)
+    x_data.add_argument("--x", required=True)
+    x_data.add_argument("--has-header", action="store_true")
+    y_data = argparse.ArgumentParser(add_help=False)
+    y_data.add_argument("--y", required=True)
+    hyper = argparse.ArgumentParser(add_help=False)
+    hyper.add_argument("--k", type=int, default=None, help=f"latent dimension (default {rpls.RplsConfig.k})")
+    hyper.add_argument("--lambda1", type=float, default=None, help="nuclear-norm weight, X side")
+    hyper.add_argument("--lambda2", type=float, default=None, help="nuclear-norm weight, Y side")
+    hyper.add_argument("--rho", type=float, default=None, help="penalty growth factor")
+    hyper.add_argument("--alpha0", type=float, default=None, help="initial penalty for both constraints")
+    hyper.add_argument("--alpha-max", type=float, default=None, dest="alpha_max", help="penalty cap")
+    hyper.add_argument("--tol", type=float, default=None, help="convergence threshold")
+    hyper.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    hyper.add_argument("--center", choices=rpls.CENTER_MODES, default=None,
+                       help=f"column centering for the robust solver (default {rpls.RplsConfig.center})")
+    hyper.add_argument("--config", default=None, help="JSON file with hyperparameter defaults")
+    outliers = argparse.ArgumentParser(add_help=False)
+    outliers.add_argument("--outliers", choices=["none", "sparse", "lowtail"], default="none")
+    outliers.add_argument("--outlier-fraction", type=float, default=datagen.OutlierSpec.fraction)
+    outliers.add_argument("--outlier-magnitude", type=float, default=datagen.OutlierSpec.magnitude)
+    outliers.add_argument("--tail-fraction", type=float, default=datagen.OutlierSpec.tail_fraction)
+    outliers.add_argument("--tail-multiplier", type=float, default=datagen.OutlierSpec.tail_multiplier)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset (optionally corrupted)")
+    p_synth = sub.add_parser("synth", parents=[out_dir, outliers],
+                             help="generate a synthetic dataset (optionally corrupted)")
     spec = datagen.SynthSpec
     p_synth.add_argument("--n", type=int, default=spec.n)
     p_synth.add_argument("--p", type=int, default=spec.p)
@@ -253,36 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n-collinear", type=int, default=spec.n_collinear)
     p_synth.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
     p_synth.add_argument("--seed", type=int, default=spec.seed)
-    _add_outlier_flags(p_synth)
-    p_synth.add_argument("--out-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_fit = sub.add_parser("fit", help="fit one method and write model.json")
-    p_fit.add_argument("--x", required=True)
-    p_fit.add_argument("--y", required=True)
+    p_fit = sub.add_parser("fit", parents=[out_dir, x_data, y_data, hyper], help="fit one method and write model.json")
     p_fit.add_argument("--method", required=True, choices=sorted(evaluate.METHODS))
-    p_fit.add_argument("--has-header", action="store_true")
-    _add_hyper_flags(p_fit)
-    p_fit.add_argument("--out-dir", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pred = sub.add_parser("predict", help="apply a saved model to new predictors")
+    p_pred = sub.add_parser("predict", parents=[out_dir, x_data], help="apply a saved model to new predictors")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--x", required=True)
-    p_pred.add_argument("--has-header", action="store_true")
-    p_pred.add_argument("--out-dir", required=True)
     p_pred.set_defaults(func=cmd_predict)
 
-    p_bench = sub.add_parser("bench", help="train/test comparison of several methods")
-    p_bench.add_argument("--x", required=True)
-    p_bench.add_argument("--y", required=True)
+    p_bench = sub.add_parser("bench", parents=[out_dir, x_data, y_data, outliers, hyper],
+                             help="train/test comparison of several methods")
     p_bench.add_argument("--methods", default=",".join(evaluate.METHODS))
     p_bench.add_argument("--split", type=float, default=0.8, help="train fraction")
     p_bench.add_argument("--seed", type=int, default=datagen.OutlierSpec.seed, help="split shuffle / outlier seed")
-    p_bench.add_argument("--has-header", action="store_true")
-    _add_outlier_flags(p_bench)
-    _add_hyper_flags(p_bench)
-    p_bench.add_argument("--out-dir", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,10 +1,12 @@
 """End-to-end command-line tests."""
 
+import argparse
 import builtins
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,11 +30,87 @@ from robustpls.datagen import (
 from robustpls.errors import ConfigError, RplsError
 from robustpls.evaluate import METHODS, _check_methods, nmse, run_experiment
 from robustpls.io import DatasetFile, load_csv, load_model, load_model_schema, write_csv
-from robustpls.rpls import RplsConfig, fit
+from robustpls.rpls import CENTER_MODES, RplsConfig, fit
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def flag(dest, default=None, type=None, required=False, choices=None):
+    """What a flag of ``build_parser`` declares: its dest, default, type, ``required`` rule and choices."""
+    return dest, default, type, required, choices
+
+
+HELP = {("-h", "--help"): flag("help", argparse.SUPPRESS)}
+OUT_DIR = {("--out-dir",): flag("out_dir", required=True)}
+HAS_HEADER = {("--has-header",): flag("has_header", False)}
+XY = {("--x",): flag("x", required=True), ("--y",): flag("y", required=True)}
+OUTLIER_FLAGS = {
+    ("--outliers",): flag("outliers", "none", choices=("none", "sparse", "lowtail")),
+    ("--outlier-fraction",): flag("outlier_fraction", OutlierSpec.fraction, float),
+    ("--outlier-magnitude",): flag("outlier_magnitude", OutlierSpec.magnitude, float),
+    ("--tail-fraction",): flag("tail_fraction", OutlierSpec.tail_fraction, float),
+    ("--tail-multiplier",): flag("tail_multiplier", OutlierSpec.tail_multiplier, float),
+}
+HYPER_FLAGS = {
+    ("--k",): flag("k", type=int),
+    ("--lambda1",): flag("lambda1", type=float),
+    ("--lambda2",): flag("lambda2", type=float),
+    ("--rho",): flag("rho", type=float),
+    ("--alpha0",): flag("alpha0", type=float),
+    ("--alpha-max",): flag("alpha_max", type=float),
+    ("--tol",): flag("tol", type=float),
+    ("--max-iter",): flag("max_iter", type=int),
+    ("--center",): flag("center", choices=CENTER_MODES),
+    ("--config",): flag("config"),
+}
+# Every subcommand's flags, as each subcommand's --help documents them.
+FLAG_SURFACE = {
+    "synth": {
+        **HELP,
+        ("--n",): flag("n", SynthSpec.n, int),
+        ("--p",): flag("p", SynthSpec.p, int),
+        ("--r",): flag("r", SynthSpec.r, int),
+        ("--k",): flag("k", SynthSpec.k_true, int),
+        ("--n-collinear",): flag("n_collinear", SynthSpec.n_collinear, int),
+        ("--noise-sigma",): flag("noise_sigma", SynthSpec.noise_sigma, float),
+        ("--seed",): flag("seed", SynthSpec.seed, int),
+        **OUTLIER_FLAGS,
+        **OUT_DIR,
+    },
+    "fit": {
+        **HELP, **XY, **HAS_HEADER, **HYPER_FLAGS, **OUT_DIR,
+        ("--method",): flag("method", required=True, choices=tuple(sorted(METHODS))),
+    },
+    "predict": {**HELP, ("--model",): flag("model", required=True), ("--x",): XY[("--x",)], **HAS_HEADER, **OUT_DIR},
+    "bench": {
+        **HELP, **XY, **HAS_HEADER, **OUTLIER_FLAGS, **HYPER_FLAGS, **OUT_DIR,
+        ("--methods",): flag("methods", ",".join(METHODS)),
+        ("--split",): flag("split", 0.8, float),
+        ("--seed",): flag("seed", OutlierSpec.seed, int),
+    },
+}
+
+
+class TestFlagSurface:
+    def subcommands(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sub.dest == "command" and sub.required
+        return sub.choices
+
+    def test_subcommands(self):
+        assert list(self.subcommands()) == list(FLAG_SURFACE)
+
+    @pytest.mark.parametrize("command", FLAG_SURFACE)
+    def test_each_flag_is_declared_as_documented(self, command):
+        # Compared as a set of flags: the order --help lists them in is free.
+        actions = self.subcommands()[command]._actions
+        found = {tuple(a.option_strings): flag(a.dest, a.default, a.type, a.required,
+                                               None if a.choices is None else tuple(a.choices))
+                 for a in actions}
+        assert len(found) == len(actions)  # no flag declared twice
+        assert found == FLAG_SURFACE[command]
 
 
 class TestSynth:
@@ -658,6 +736,22 @@ class TestCliErrors:
                        "--out-dir", str(tmp_path / "pred")) == 0
         assert np.isfinite(load_csv(tmp_path / "pred" / "predictions.csv")).all()
 
+    def test_svd_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "6", "--r", "2", "--k", "2",
+                "--n-collinear", "1", "--out-dir", str(data))
+        capsys.readouterr()
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        out = tmp_path / "out"
+        assert run_cli("fit", "--method", "pcr", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
+                       "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: SVD did not converge for 30x6 matrix"]
+        assert not out.exists()
+
     def test_unknown_method_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--method", "ridge", "--x", "x.csv", "--y", "y.csv",
@@ -841,3 +935,40 @@ class TestCliErrors:
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "x.csv").exists()
+
+
+class TestLogging:
+    @pytest.mark.parametrize("value", [None, "off", "info", "trace", "TRACE", "verbose"])
+    def test_rpls_log_levels(self, tmp_path, value):
+        # RPLS_LOG picks what a fit says on stderr: nothing (off, unset or an
+        # unrecognised value), one INFO summary (info), or one DEBUG line per
+        # iteration then that summary (trace). Values are read in any case.
+        data = tmp_path / "data"
+        run_cli("synth", "--n", "30", "--p", "6", "--r", "2", "--k", "2",
+                "--n-collinear", "1", "--out-dir", str(data))
+        src = str(Path(robustpls.__file__).parents[1])
+        env = {key: v for key, v in os.environ.items() if key != "RPLS_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if value is not None:
+            env["RPLS_LOG"] = value
+        out = tmp_path / "fit"
+        result = subprocess.run(
+            [sys.executable, "-m", "robustpls.cli", "fit", "--method", "rpls", "--k", "2",
+             "--x", str(data / "x.csv"), "--y", str(data / "y.csv"), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        level = (value or "off").lower()
+        lines = result.stderr.splitlines()
+        if level not in ("info", "trace"):
+            assert lines == []
+            return
+        iterations = load_csv(DatasetFile(str(out / "residual_trace.csv"), has_header=True)).shape[0]
+        summary = re.fullmatch(r"INFO robustpls\.rpls: rpls fit \(30, 6, 2\): converged after (\d+) iterations "
+                               r"\(residual \S+, tol \S+\)", lines[-1])
+        assert summary and int(summary.group(1)) == iterations, lines[-1]
+        steps = [re.fullmatch(r"DEBUG robustpls\.rpls: iteration (\d+): residual=\S+ alpha=\S+", line)
+                 for line in lines[:-1]]
+        assert all(steps), lines[:-1]
+        assert [int(m.group(1)) for m in steps] == (list(range(1, iterations + 1)) if level == "trace" else [])
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robustpls import linalg
-from robustpls.errors import DimensionError, InvalidInputError
+from robustpls.errors import DimensionError, InvalidInputError, SolverError
 from robustpls.linalg import (
     as_matrix,
     procrustes_orthonormal,
@@ -132,6 +132,15 @@ class TestSvd:
             assert cs.tobytes() == s.tobytes()
             assert cu.tobytes() == (u * signs).tobytes()
             assert cvt.tobytes() == (vt * signs[:, None]).tobytes()
+
+    def test_no_convergence_is_a_solver_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(SolverError, match="^SVD did not converge for 7x3 matrix$") as exc:
+            svd(np.ones((7, 3)))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_no_factor_wrapper_is_public(self):
         # The decomposition is numpy's triple: no public Svd* type wraps it.
