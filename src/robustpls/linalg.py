@@ -60,9 +60,10 @@ def _matched_rows(x, y):
 
 def _check_arrays(model, axes) -> None:
     """Each field in ``axes``, stored on ``model`` as its own read-only C-ordered float64 copy, has one
-    dimension per letter, shared letters agree, and entries are finite. This is the one place a model
-    field is copied: no caller's array is kept, so no later write by the caller moves the model or
-    leaves what it compiled from its fields stale."""
+    dimension per letter, shared letters agree, each vector has an entry, and entries are finite. A model's
+    vectors are its predictor and response means, so it has at least one column of each. This is the one
+    place a model field is copied: no caller's array is kept, so no later write by the caller moves the
+    model or leaves what it compiled from its fields stale."""
     dims = {}
     for name, letters in axes.items():
         a = np.array(getattr(model, name), dtype=np.float64, order="C")
@@ -72,6 +73,9 @@ def _check_arrays(model, axes) -> None:
         expected = tuple(dims.setdefault(ax, size) for ax, size in zip(letters, shape))
         if len(shape) != len(letters) or shape != expected:
             raise DimensionError(f"field {name!r} has shape {shape}, which does not fit the other fields")
+        if len(letters) == 1 and a.size == 0:
+            raise DimensionError(f"field {name!r} is empty: a model needs at least one predictor "
+                                 "and one response column")
         if not np.isfinite(a).all():
             raise InvalidInputError(f"field {name!r} has a non-finite entry")
 

@@ -99,28 +99,25 @@ def from_rpls(model: RplsModel) -> ProjectionRegressor:
     largest is unstable when the fitted sparse-error block has more
     leverage along it than ``STABILITY_THRESHOLD`` times that gain: the
     predictors carry too little signal there to trust the projected score
-    (the signature of a direction captured by response corruption). If any
-    is unstable, only the m kept directions are stored, noted "removed N
-    unstable latent direction(s)", in the principal basis of ``lambda_x``
-    with canonical signs: ``u * s`` (p x m) and ``lambda_y @ vt.T`` (r x m).
-    Otherwise the solver's loadings are kept as they are.
+    (the signature of a direction captured by response corruption). The
+    regressor stores the m kept directions in the principal basis of
+    ``lambda_x``, with canonical signs: ``u * s`` (p x m), whose column norms
+    are the gains, largest first, and ``lambda_y @ vt.T`` (r x m). It
+    predicts as the solver's loadings do, up to rounding, when no direction
+    is unstable, and otherwise carries the note "removed N unstable latent
+    direction(s)".
 
     The regressor copies what it keeps, so it shares no memory with
     ``model`` and no later change to ``model`` moves it.
     """
-    lambda_x, lambda_y = model.state.lambda_x, model.state.lambda_y
-    u, s, vt = svd(lambda_x)
+    u, s, vt = svd(model.state.lambda_x)
     leverage = np.linalg.norm(model.state.delta_x @ u, axis=0)
     unstable = (s > RANK_RCOND * s.max(initial=0.0)) & (leverage > STABILITY_THRESHOLD * s)
-    notes = ()
-    if unstable.any():
-        keep = ~unstable
-        lambda_x = u[:, keep] * s[keep]
-        lambda_y = lambda_y @ vt[keep].T
-        notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",)
+    keep = ~unstable
+    notes = (f"removed {int(unstable.sum())} unstable latent direction(s)",) if unstable.any() else ()
     return ProjectionRegressor(
-        lambda_x=lambda_x,
-        lambda_y=lambda_y,
+        lambda_x=u[:, keep] * s[keep],
+        lambda_y=model.state.lambda_y @ vt[keep].T,
         x_means=model.x_means,
         y_means=model.y_means,
         source_tag="RPLS",

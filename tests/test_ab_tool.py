@@ -24,8 +24,9 @@ def test_ab_tool_reports_every_field(tmp_path):
     for workload in report["workloads"].values():
         assert sorted(workload) == ["ab", "null"]
         for result in workload.values():
-            # The same source on both sides fits to the same bits.
+            # The same source on both sides fits and predicts to the same bits.
             assert result["iterations_equal"] is True and result["max_trace_rel_diff"] == 0.0
+            assert result["max_prediction_rel_diff"] == 0.0
             for kind in ("fit", "predict_row", "predict_batch"):
                 s = result[kind]
                 assert s["pairs"] == 2 and 0 <= s["wins"] <= 2

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustpls.baselines import BLOCK_BYTES, LinearModel, predict
+from robustpls.baselines import BLOCK_BYTES, LinearModel, _affine, predict
 from robustpls.errors import InvalidInputError
 from robustpls.linalg import as_matrix
 from robustpls.projection import ProjectionRegressor, predict_projection, project
@@ -166,16 +166,17 @@ def marked_batches(draw):
 def test_large_batch_accepted_exactly_when_finite(case):
     # No zero factor of M may hide a NaN or an infinity: the apply rejects
     # each such batch, with no warning, and otherwise gives the product by
-    # row blocks (overflowing where the largest doubles do).
+    # row blocks (overflowing where the largest doubles do). M is given to
+    # the apply itself: a model needs a response column, but a projection's
+    # score map has none at k = 0.
     matrix, x = case
-    model = LinearModel(theta=matrix, x_means=np.zeros(len(matrix)), y_means=np.zeros(matrix.shape[1]),
-                        method_tag="MLR")
+    offset = np.zeros(matrix.shape[1])
     if np.isfinite(x).all():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            same_bytes(predict(model, x), dot_by_blocks(x, matrix) - model.offset)
+            same_bytes(_affine(x, matrix, offset), dot_by_blocks(x, matrix) - offset)
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="^x_new contains non-finite entries$"):
-                predict(model, x)
+                _affine(x, matrix, offset)

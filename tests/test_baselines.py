@@ -347,10 +347,13 @@ class TestPredict:
         ({"theta": np.array([[0.0, np.nan], [1.0, 2.0], [3.0, 4.0]])}, InvalidInputError,
          "'theta' has a non-finite entry"),
         ({"x_means": np.array([0.0, np.inf, 0.0])}, InvalidInputError, "'x_means' has a non-finite entry"),
-    ], ids=["x_means-length", "y_means-2d", "theta-1d", "theta-nan", "x_means-inf"])
+        ({"theta": np.zeros((3, 0)), "y_means": np.zeros(0)}, DimensionError, "'y_means' is empty"),
+        ({"theta": np.zeros((0, 2)), "x_means": np.zeros(0)}, DimensionError, "'x_means' is empty"),
+    ], ids=["x_means-length", "y_means-2d", "theta-1d", "theta-nan", "x_means-inf", "no-response-column",
+            "no-predictor-column"])
     def test_constructor_checks_arrays(self, fields, error, match):
         # Unchecked, these fail only in predict, with a numpy broadcast
-        # error, or predict NaN rows without an error.
+        # error, or predict NaN rows or rows of no value without an error.
         arrays = {"theta": np.zeros((3, 2)), "x_means": np.zeros(3), "y_means": np.zeros(2)}
         LinearModel(**arrays, method_tag="MLR")
         with pytest.raises(error, match=match):

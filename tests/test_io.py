@@ -489,8 +489,10 @@ class TestModelFormat:
         (projection_doc(y_means="AAAAAAAAEEA=="), "'y_means' is not valid"),
         (projection_doc(y_means="AAAAAAAA=EEA"), "'y_means' is not valid"),
         (projection_doc(x_means="AAAAAAAAAAAAAAAA\nAADwPwAAAAAAAADA"), "'x_means' is not valid"),
+        (projection_doc(lambda_y={"rows": 0, "cols": 2, "data": ""}, y_means=""), "'y_means' is empty"),
+        (projection_doc(lambda_x={"rows": 0, "cols": 2, "data": ""}, x_means=""), "'x_means' is empty"),
     ], ids=["version-1", "data-list", "data-outside-alphabet", "vector-outside-alphabet", "padding-missing",
-            "padding-excess", "padding-inside", "line-break"])
+            "padding-excess", "padding-inside", "line-break", "no-response-column", "no-predictor-column"])
     def test_schema_and_loader_reject(self, doc, match):
         with pytest.raises(ParseError, match=match):
             model_from_dict(doc)

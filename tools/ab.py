@@ -19,9 +19,10 @@ predict the report gives the median ratio, its quartiles and B's wins, first for
 an A/A of tree B (``arm_b`` against ``arm_null``: the null) and then for A/B.
 
 Both arms must fit every dataset in the same number of iterations; the largest
-relative difference between their residual traces is reported beside it. The
-last line printed is the report as one JSON object. The tool only measures; it
-exits 1 when iteration counts differ.
+relative difference between their residual traces is reported beside it, and so
+is the largest difference between their one-row and batch predictions, relative
+to the largest prediction of arm B. The last line printed is the report as one
+JSON object. The tool only measures; it exits 1 when iteration counts differ.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _best(fn, count: int) -> float:
 
 
 def time_arm(rp, d, batch, n: int):
-    """One arm on one dataset: its three best times and its fit."""
+    """One arm on one dataset: its three best times, its fit, and its one-row
+    predictions of the test rows followed by its batch prediction, as one array."""
     config = rp.RplsConfig(k=K)
     model = rp.fit(d.x_train, d.y_train, config)
     reg = rp.from_rpls(model)
@@ -86,7 +88,8 @@ def time_arm(rp, d, batch, n: int):
         "predict_row": _best(predict_rows, n) / ROWS_PER_REPEAT,
         "predict_batch": _best(lambda: rp.predict_projection(reg, batch), n),
     }
-    return times, model
+    predictions = np.vstack([*(rp.predict_projection(reg, row) for row in rows), rp.predict_projection(reg, batch)])
+    return times, model, predictions
 
 
 def summary(ratios) -> dict:
@@ -96,17 +99,19 @@ def summary(ratios) -> dict:
 
 
 def compare(a, b, data, batches, repeats: int, n: int) -> dict:
-    """Paired timings of packages ``a`` and ``b`` over ``data``, with their fits' agreement."""
+    """Paired timings of packages ``a`` and ``b`` over ``data``, with their fits' and predictions' agreement."""
     ratios = {kind: [] for kind in KINDS}
-    iterations_equal, trace_diff = True, 0.0
+    iterations_equal, trace_diff, prediction_diff = True, 0.0, 0.0
     for rep in range(repeats):
         order = (("a", a), ("b", b)) if rep % 2 == 0 else (("b", b), ("a", a))
         for d, batch in zip(data, batches):
-            times, models = {}, {}
+            times, models, predictions = {}, {}, {}
             for side, rp in order:
-                times[side], models[side] = time_arm(rp, d, batch, n)
+                times[side], models[side], predictions[side] = time_arm(rp, d, batch, n)
             for kind in KINDS:
                 ratios[kind].append(times["a"][kind] / times["b"][kind])
+            pa, pb = predictions["a"], predictions["b"]
+            prediction_diff = max(prediction_diff, float(np.abs(pa - pb).max() / np.abs(pb).max()))
             ma, mb = models["a"], models["b"]
             if ma.state.iteration != mb.state.iteration:
                 iterations_equal = False
@@ -118,18 +123,20 @@ def compare(a, b, data, batches, repeats: int, n: int) -> dict:
         **{kind: summary(r) for kind, r in ratios.items()},
         "iterations_equal": iterations_equal,
         "max_trace_rel_diff": trace_diff,
+        "max_prediction_rel_diff": prediction_diff,
     }
 
 
 def _line(label: str, result: dict) -> str:
-    """One comparison as a line: each kind's median ratio, quartiles and wins, then the fits' agreement."""
+    """One comparison as a line: each kind's median ratio, quartiles and wins, then the arms' agreement."""
     parts = []
     for kind in KINDS:
         s = result[kind]
         parts.append(f"{kind} {s['median']:.3f} ({s['q1']:.3f}-{s['q3']:.3f}) {s['wins']}/{s['pairs']} B wins")
     return f"  {label}: " + "; ".join(parts) + (
         f"; iterations {'equal' if result['iterations_equal'] else 'DIFFER'}"
-        f", max trace rel diff {result['max_trace_rel_diff']:.2e}")
+        f", max trace rel diff {result['max_trace_rel_diff']:.2e}"
+        f", max prediction rel diff {result['max_prediction_rel_diff']:.2e}")
 
 
 def main(argv=None) -> int:
