@@ -10,6 +10,7 @@ columns. All functions are pure and deterministic.
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import svd_s as _svd_s
 
 from .errors import ConfigError, DimensionError, InvalidInputError, SolverError
 
@@ -27,15 +28,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _finite(_matrix(a, name), name)
 
 
-def _matrix(a, name: str) -> np.ndarray:
-    """``a`` as a non-empty 2-D float64 array in C order, copied unless it already is one, its entries
-    not yet checked. This is the one place a data input gets its type and layout, so no sum runs in an
-    order set by the caller's layout."""
+def _matrix(a, name: str, empty: bool = False) -> np.ndarray:
+    """``a`` as a 2-D float64 array in C order, non-empty unless ``empty``, copied unless it already is
+    one, its entries not yet checked. This is the one place a data input gets its type and layout, so no
+    sum runs in an order set by the caller's layout."""
     m = np.asarray(a, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={m.ndim}")
     # One attribute read, 0.1 us less than indexing the shape twice.
-    if not m.size:
+    if not (m.size or empty):
         raise InvalidInputError(f"{name} must have at least one row and column, got shape {m.shape}")
     return m
 
@@ -93,21 +94,37 @@ def _exponent(a) -> int:
     return int(np.frexp(np.abs(a).max(initial=0.0))[1])
 
 
+def _no_convergence(err, flag):
+    """LAPACK's failure to converge, which the SVD gufunc signals as an invalid floating-point flag."""
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# The error state numpy's thin-SVD wrapper sets. As a decorator, np.errstate
+# sets it afresh on each call, so it can be re-entered, and it costs less
+# per call than a new errstate in a with statement.
+@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _thin_svd(m: np.ndarray):
+    """The gufunc that numpy's thin-SVD wrapper calls, without the wrapper's checks and casts, which
+    would change nothing on a C float64 matrix and cost about 4 us a call."""
+    return _svd_s(m, signature="d->ddd")
+
+
 def svd(a, *, canonical_signs: bool = True):
     """Thin singular value decomposition, by default with a deterministic sign convention.
 
     Parameters
     ----------
     a : array_like
-        Matrix of shape (m, n); all entries must be finite.
+        Matrix of shape (m, n); all entries must be finite. m or n may be
+        0, which gives empty factors.
     canonical_signs : bool, keyword-only
         With True (the default) each u column is flipped, with its vt row,
         so that its largest-magnitude entry is nonnegative; factorizations
         are then reproducible across backends. With False the factors are
-        ``np.linalg.svd(a, full_matrices=False)`` as they come. Callers
-        whose output is ``u @ vt`` or ``(u * s) @ vt`` pass False: IEEE
-        negation is exact, so a matched flip leaves those products the same
-        bit for bit.
+        LAPACK's, as ``numpy.linalg.svd(a, full_matrices=False)`` returns
+        them. Callers whose output is ``u @ vt`` or ``(u * s) @ vt`` pass
+        False: IEEE negation is exact, so a matched flip leaves those
+        products the same bit for bit.
 
     Returns
     -------
@@ -120,12 +137,12 @@ def svd(a, *, canonical_signs: bool = True):
     SolverError
         If the underlying decomposition does not converge.
     """
-    m = as_matrix(a)
+    m = _finite(_matrix(a, "matrix", empty=True), "matrix")
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        u, s, vt = _thin_svd(m)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD did not converge for {m.shape[0]}x{m.shape[1]} matrix") from exc
-    if not canonical_signs:
+    if not canonical_signs or not u.size:
         return u, s, vt
     # Flip signs so each u column has a positive largest-magnitude entry:
     # a unit-norm column has no zero largest entry.

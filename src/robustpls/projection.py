@@ -75,7 +75,7 @@ class ProjectionRegressor:
         # Compile on the loadings scaled by 2**-e, then scale w back: the
         # scaled gains can neither overflow nor be subnormal.
         e = _exponent(self.lambda_x)
-        u, s, vt = np.linalg.svd(np.ldexp(self.lambda_x, -e), full_matrices=False)
+        u, s, vt = svd(np.ldexp(self.lambda_x, -e), canonical_signs=False)
         keep = s > RANK_RCOND * s.max(initial=0.0)
         # A direction whose inverse gain is not a finite float64 is numerically zero.
         with np.errstate(over="ignore"):

@@ -63,6 +63,12 @@ def svd_route_svt(a, tau):
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
+def svd_no_convergence(m, signature):
+    """A stand-in for the SVD gufunc that fails as LAPACK's non-convergence does: by raising the invalid
+    floating-point flag, which the caller's error state turns into numpy's ``LinAlgError``."""
+    return np.subtract(np.inf, np.inf)
+
+
 def rebuilt(model, convert):
     """``model`` built again from its array fields passed through ``convert``."""
     return type(model)(**{f.name: convert(getattr(model, f.name)) if f.name in model.AXES else getattr(model, f.name)

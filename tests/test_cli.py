@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import b64_f8
+from conftest import b64_f8, svd_no_convergence
 
 import robustpls
+from robustpls import linalg
 from robustpls.cli import HYPER_KEYS, _rpls_config, build_parser, main
 from robustpls.datagen import (
     LOW_TAIL,
@@ -742,10 +743,7 @@ class TestCliErrors:
                 "--n-collinear", "1", "--out-dir", str(data))
         capsys.readouterr()
 
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(linalg, "_svd_s", svd_no_convergence)
         out = tmp_path / "out"
         assert run_cli("fit", "--method", "pcr", "--x", str(data / "x.csv"), "--y", str(data / "y.csv"),
                        "--out-dir", str(out)) == 1

@@ -11,7 +11,7 @@ import robustpls as rp
 from robustpls.baselines import BLOCK_BYTES, RANK_RCOND, LinearModel, PlsFactors, fit_pls_nipals, predict
 from robustpls.datagen import LOW_TAIL, OutlierSpec, SynthSpec, generate, inject_low_tail, rng_from_seed
 from robustpls.errors import DimensionError, InvalidInputError
-from robustpls import projection
+from robustpls import linalg, projection
 from robustpls.io import load_model, model_to_dict, save_model
 from robustpls.linalg import svd
 from robustpls.projection import (
@@ -370,7 +370,7 @@ class TestCompiledPredictor:
         def no_svd(*args, **kwargs):
             raise AssertionError("SVD taken after construction")
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(linalg, "_svd_s", no_svd)
         predict_projection(reg, x_new)
         project(reg, x_new)
         regression_matrix(reg)
@@ -406,13 +406,13 @@ class TestCompiledPredictor:
         # The rank note comes from the compile's own singular values.
         loadings = LOADINGS[case][0](rng)
         calls = []
-        real_svd = np.linalg.svd
+        real_svd = linalg._svd_s
 
         def counting_svd(*args, **kwargs):
             calls.append(args)
             return real_svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(linalg, "_svd_s", counting_svd)
         pls_regressor(rng, loadings)
         assert len(calls) == 1
 

@@ -44,7 +44,9 @@ stayed under 56. MLR's move grows with the condition number of the centered
 X over the directions it solves on, and RPLS's with that of its compiled
 score map ``w`` (up to 70 in these draws), so their units carry that
 number; their largest was 35 (MLR) and 59 (RPLS, 158 without it). With X cut to its rank-two part none passed 60
-(943 draws). ``PREDICT_TOL`` allows 200.
+(943 draws). ``PREDICT_TOL`` allows 200. Two draws that unseeded runs hit
+still break it, for PCR (244 units) and PLS_PROJ (658); they are kept as
+strict xfails until ROADMAP item 23 is closed for the baselines.
 
 RPLS's iterations can also amplify the rounding of the moved data: on one
 14x5x3 draw at k = 2 the moved fit missed by 1,044 conditioned units at
@@ -202,9 +204,28 @@ def condition(m):
 # (hypothesis seed 0): 125, 119 and 119 units, at k = 2 = p.
 @example(problem=(*signal_problem(np.random.default_rng(134217728), 9, 2, 3), 2), exact_rank=False, seed=65881)
 def test_translation_through_predict(problem, exact_rank, seed):
-    # X moves by c spreads of each column, and so do the rows it predicts.
-    # With ``exact_rank`` X is its rank-two part, so MLR notes a deficient
-    # rank, which the rounding of the moved data must not lift.
+    check_translation_through_predict(problem, exact_rank, seed)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the baselines' unit carries no condition number, and PLS_PROJ's move follows the NIPALS x-loadings it "
+    "projects through, not its compiled map; ROADMAP item 23 must flip these"))
+@pytest.mark.parametrize("draw, seed", [
+    ((2639, 11, 2, 2), 1),  # PCR moves 244 units at c = 1e2
+    ((15482188, 15, 3, 1), 0),  # PLS_PROJ moves 658 units at c = 1e4
+], ids=["pcr-11x2", "pls_proj-15x3"])
+def test_translation_through_predict_open_draws(draw, seed):
+    # Two draws that unseeded runs of the property hit, at k = 2.
+    rng_seed, n, p, r = draw
+    problem = (*signal_problem(np.random.default_rng(rng_seed), n, p, r), 2)
+    check_translation_through_predict(problem, False, seed)
+
+
+def check_translation_through_predict(problem, exact_rank, seed):
+    """X moves by c spreads of each column, and so do the rows it predicts.
+
+    With ``exact_rank`` X is its rank-two part, so MLR notes a deficient
+    rank, which the rounding of the moved data must not lift."""
     x, y, k = problem
     if exact_rank:
         u, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
