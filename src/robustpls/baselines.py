@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SolverError, check_fields
+from .errors import DimensionError, SolverError, check_fields
 from .linalg import _check_arrays, _check_k, _exponent, _finite, _matched_rows, _matrix, svd
 
 __all__ = [
@@ -56,9 +56,7 @@ class LinearModel:
 
     def __post_init__(self):
         _check_arrays(self, self.AXES)
-        if self.method_tag not in ("MLR", "PCR", "PLSR"):
-            raise ConfigError(f"method_tag must be MLR, PCR or PLSR, got {self.method_tag!r}")
-        check_fields(self, integers=(("n_components", 0),))
+        check_fields(self, integers=(("n_components", 0),), choices=(("method_tag", ("MLR", "PCR", "PLSR")),))
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "offset", np.dot(self.x_means, self.theta) - self.y_means)
         self.offset.flags.writeable = False

@@ -14,6 +14,7 @@ so identical seeds reproduce identical streams on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -62,7 +63,7 @@ class SynthSpec:
 
     def __post_init__(self):
         check_fields(
-            self, ("noise_sigma",),
+            self, ("noise_sigma",), bounds=(("noise_sigma", 0, math.inf),),
             integers=(("n", 1), ("p", 1), ("r", 1), ("k_true", 1), ("n_collinear", 0), ("seed", 0)),
         )
         # x is n rows of p - n_collinear independent columns and their mixes.
@@ -71,8 +72,6 @@ class SynthSpec:
                 f"k_true={self.k_true} must be at most min(n, p - n_collinear) for an x of rank k_true, "
                 f"got n={self.n}, p={self.p}, n_collinear={self.n_collinear}"
             )
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,10 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (SPARSE_RANDOM, LOW_TAIL):
-            raise ConfigError(f"kind must be {SPARSE_RANDOM} or {LOW_TAIL}, got {self.kind!r}")
-        check_fields(self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"), integers=(("seed", 0),))
-        for name in ("fraction", "tail_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v!r}")
+        check_fields(
+            self, ("fraction", "magnitude", "tail_fraction", "tail_multiplier"), integers=(("seed", 0),),
+            bounds=(("fraction", 0, 1), ("tail_fraction", 0, 1)), choices=(("kind", (SPARSE_RANDOM, LOW_TAIL)),),
+        )
         if self.tail_multiplier == 0:
             raise ConfigError("tail_multiplier must be nonzero")
 

@@ -36,14 +36,17 @@ class DegenerateEllipseError(RplsError, ValueError):
     """Score covariance is singular; no confidence ellipse exists."""
 
 
-def check_fields(spec, reals=(), optional=(), integers=()) -> None:
-    """Reject a boolean in any field of ``spec`` (a dataclass or namespace).
+def check_fields(spec, reals=(), optional=(), integers=(), positive=(), bounds=(), choices=()) -> None:
+    """Check each single-field rule of ``spec`` (a dataclass or namespace); a
+    broken one raises ConfigError with a message that starts with the field name.
 
-    Also require a finite real in each field named in ``reals``, a finite
-    real or None in each named in ``optional``, and for each
-    ``(name, least)`` in ``integers`` an integer of at least ``least``
-    (1: positive, 0: nonnegative). A bool is an int subclass, so numeric
-    checks alone would take ``True`` as 1.
+    No field may be a boolean. Each field in ``reals`` must be a finite real,
+    and each in ``optional`` a finite real or None. A real field in ``positive``
+    must be above 0 (None passes), and for each ``(name, low, high)`` in
+    ``bounds`` in ``[low, high]``. For each ``(name, least)`` in ``integers``
+    it must be an integer of at least ``least`` (1: positive, 0: nonnegative),
+    and for each ``(name, allowed)`` in ``choices`` one of ``allowed``. A bool
+    is an int subclass, so numeric checks alone would take ``True`` as 1.
     """
     for name, v in vars(spec).items():
         if isinstance(v, bool):
@@ -52,9 +55,23 @@ def check_fields(spec, reals=(), optional=(), integers=()) -> None:
         v = getattr(spec, name)
         if v is None and name in optional:
             continue
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        # An integer is finite however large; math.isfinite would overflow on it.
+        if not (isinstance(v, numbers.Real) and (isinstance(v, numbers.Integral) or math.isfinite(v))):
             raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    for name in positive:
+        v = getattr(spec, name)
+        if v is not None and v <= 0:
+            raise ConfigError(f"{name} must be positive, got {v!r}")
+    for name, low, high in bounds:
+        v = getattr(spec, name)
+        if not low <= v <= high:
+            span = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ConfigError(f"{name} must be {span}, got {v!r}")
     for name, least in integers:
         v = getattr(spec, name)
         if not (isinstance(v, numbers.Integral) and v >= least):
             raise ConfigError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {v!r}")
+    for name, allowed in choices:
+        v = getattr(spec, name)
+        if v not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {v!r}")

@@ -8,11 +8,12 @@ columns. All functions are pure and deterministic.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.linalg._umath_linalg import svd_s as _svd_s
 
-from .errors import ConfigError, DimensionError, InvalidInputError, SolverError
+from .errors import DimensionError, InvalidInputError, SolverError, check_fields
 
 __all__ = [
     "as_matrix",
@@ -82,10 +83,9 @@ def _check_arrays(model, axes) -> None:
 
 
 def _check_k(k: int, shape) -> None:
-    """A latent dimension fits an (n, p) predictor matrix when ``1 <= k <= min(n, p)``."""
-    m = min(shape)
-    if not 1 <= k <= m:
-        raise ConfigError(f"k must be in [1, {m}], got {k}")
+    """A latent dimension fits an (n, p) predictor matrix when it is an integer in ``[1, min(n, p)]``.
+    ``check_fields`` tests bounds before integers, so an integer out of range is named as one."""
+    check_fields(SimpleNamespace(k=k), ("k",), integers=(("k", 1),), bounds=(("k", 1, min(shape)),))
 
 
 def _exponent(a) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import RANK_RCOND, PlsFactors, _affine
-from .errors import ConfigError
+from .errors import check_fields
 from .linalg import _check_arrays, _exponent, svd
 from .rpls import RplsModel
 
@@ -70,8 +70,7 @@ class ProjectionRegressor:
 
     def __post_init__(self):
         _check_arrays(self, self.AXES)
-        if self.source_tag not in ("RPLS", "PLS"):
-            raise ConfigError(f"source_tag must be RPLS or PLS, got {self.source_tag!r}")
+        check_fields(self, choices=(("source_tag", ("RPLS", "PLS")),))
         # Compile on the loadings scaled by 2**-e, then scale w back: the
         # scaled gains can neither overflow nor be subnormal.
         e = _exponent(self.lambda_x)

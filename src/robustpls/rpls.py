@@ -82,22 +82,11 @@ class RplsConfig:
     def __post_init__(self):
         check_fields(
             self, ("alpha0", "rho", "alpha_max"), optional=("lambda1", "lambda2", "tol"),
-            integers=(("k", 1), ("max_iter", 1)),
+            integers=(("k", 1), ("max_iter", 1)), positive=("lambda1", "lambda2", "tol", "alpha0", "alpha_max"),
+            bounds=(("rho", 1, math.inf),), choices=(("center", CENTER_MODES),),
         )
-        for name in ("lambda1", "lambda2", "tol"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive (or None for auto), got {v!r}")
-        for name in ("alpha0", "alpha_max"):
-            v = getattr(self, name)
-            if v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v!r}")
-        if self.rho < 1:
-            raise ConfigError(f"rho must be >= 1, got {self.rho!r}")
         if self.alpha_max < self.alpha0:
             raise ConfigError(f"alpha_max must be >= alpha0, got {self.alpha_max!r} < {self.alpha0!r}")
-        if self.center not in CENTER_MODES:
-            raise ConfigError(f"center must be one of {CENTER_MODES}, got {self.center!r}")
 
     def resolve(self, x: np.ndarray, y: np.ndarray) -> "RplsConfig":
         """Bind auto hyperparameters to the data and check k against its shape."""

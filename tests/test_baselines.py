@@ -114,6 +114,16 @@ class TestPcr:
                 fitter(x, y, k=0)
             with pytest.raises(ConfigError, match=r"k must be in \[1, 5\], got 6"):
                 fitter(x, y, k=6)
+            # An integer too large for a float is out of range, not an OverflowError.
+            with pytest.raises(ConfigError, match=r"^k must be in \[1, 5\], got 10{400}$"):
+                fitter(x, y, k=10**400)
+            # True would fit one component and 2.0 fail inside slicing or range: both are ConfigErrors naming k.
+            with pytest.raises(ConfigError, match=r"^k must not be a boolean, got True$"):
+                fitter(x, y, k=True)
+            with pytest.raises(ConfigError, match=r"^k must be a positive integer, got 2\.0$"):
+                fitter(x, y, k=2.0)
+        assert fit_pcr(x, y, k=np.int64(2)).n_components == 2
+        assert fit_pls_nipals(x, y, k=np.int64(2))[1].n_components == 2
 
 
 class TestPls:
